@@ -20,7 +20,6 @@ from repro.analysis.tables import (
 )
 from repro.analysis.telemetry import (
     gateway_telemetry_paths,
-    load_telemetry,
     render_gateway_report,
     render_telemetry_report,
     summary_table,
@@ -38,7 +37,6 @@ __all__ = [
     "format_table",
     "gateway_telemetry_paths",
     "improvement",
-    "load_telemetry",
     "log_spaced_points",
     "percentile",
     "percentile_sorted",

@@ -96,13 +96,6 @@ def summary_table(summary: dict[str, float], precision: int = 2) -> str:
     return format_table(["metric", "value"], rows, precision=precision)
 
 
-def load_telemetry(path: str | Path) -> list[dict[str, Any]]:
-    """Read a telemetry JSONL file (re-export for analysis callers)."""
-    from repro.service.telemetry import read_telemetry
-
-    return read_telemetry(path)
-
-
 def render_telemetry_report(
     path: str | Path,
     every: int = 1,
@@ -115,9 +108,9 @@ def render_telemetry_report(
     rates, peak overload) optionally preceded by the per-round table —
     the rendering behind ``repro report``.
     """
-    from repro.service.telemetry import summarize_telemetry
+    from repro.service.telemetry import read_telemetry, summarize_telemetry
 
-    records = load_telemetry(path)
+    records = read_telemetry(path)
     if not records:
         return f"no telemetry records in {path}"
     sections: list[str] = []
@@ -166,7 +159,7 @@ def render_gateway_report(
     maximum.  Raises ``FileNotFoundError`` when the directory holds no
     ``worker-*/telemetry.jsonl`` streams.
     """
-    from repro.service.telemetry import summarize_telemetry
+    from repro.service.telemetry import read_telemetry, summarize_telemetry
 
     streams = gateway_telemetry_paths(workdir)
     if not streams:
@@ -176,7 +169,7 @@ def render_gateway_report(
     sections: list[str] = [f"# Gateway telemetry: {workdir}"]
     summaries: dict[str, dict[str, float]] = {}
     for name, path in streams.items():
-        records = load_telemetry(path)
+        records = read_telemetry(path)
         sections.append(f"## Partition {name} ({len(records)} records)")
         if not records:
             sections.append("(no telemetry records)")

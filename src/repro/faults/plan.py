@@ -67,8 +67,8 @@ class FaultEvent:
     """One scheduled fault: *kind* hits *server* (and GPU) at *round*.
 
     ``round_index`` uses the engine's reported (1-based) round numbers
-    — the same numbers :class:`~repro.sim.engine.RoundResult` and the
-    telemetry ``round`` field carry.  An event at round ``r`` is
+    — the same numbers :attr:`~repro.sim.engine.PassResult.pass_index`
+    and the telemetry ``round`` field carry.  An event at round ``r`` is
     applied during the fault phase at the start of round ``r``, before
     that round's scheduling pass.  ``slowdown`` is only meaningful for
     ``straggler_start`` (multiplier ≥ 1 applied to iteration durations

@@ -15,7 +15,7 @@ speak to a single daemon.
 * :mod:`repro.gateway.server` — the asyncio gateway daemon: TCP/Unix
   listeners, batch fan-out, aggregation, health/gossip loop;
 * :mod:`repro.gateway.loadgen` — the deterministic load generator
-  behind ``benchmarks/bench_gateway.py``.
+  behind ``repro loadgen`` and the gateway tests.
 
 See DESIGN.md §12 for the partitioning model and the determinism
 contract.

@@ -12,7 +12,7 @@ surface the engine and schedulers call:
 * ``job_event(...)`` — append a per-job timeline transition and bump
   the matching counters;
 * ``on_round(result)`` — refresh the round gauges/counters from a
-  :class:`~repro.sim.engine.RoundResult`;
+  :class:`~repro.sim.engine.PassResult`;
 * ``publish_priorities(...)`` — schedulers expose the round's task
   priorities so timeline events can stamp them.
 
@@ -270,7 +270,7 @@ class Observer:
     # -- per-round refresh -------------------------------------------------
 
     def on_round(self, result: Any) -> None:
-        """Update gauges/counters from a ``RoundResult``."""
+        """Update gauges/counters from a ``PassResult``."""
         if result.ticked:
             self.rounds_total.inc()
         if result.events_processed:
@@ -283,7 +283,7 @@ class Observer:
         self.active_jobs.set(result.active_jobs)
         self.running_jobs.set(result.running_jobs)
         self.overload_degree.set(result.overload_degree)
-        self.sim_time.set(result.now)
+        self.sim_time.set(result.sim_time)
 
     # -- pickling (daemon snapshots) ---------------------------------------
 

@@ -786,8 +786,8 @@ class SchedulerDaemon:
             assert last is not None
             return Response.success(
                 {
-                    "round": last.round_index,
-                    "sim_time": last.now,
+                    "round": last.pass_index,
+                    "sim_time": last.sim_time,
                     "ticked": last.ticked,
                     "queue_depth": last.queue_depth,
                     "active_jobs": last.active_jobs,

@@ -88,8 +88,8 @@ def round_record(
     jct_stats.sync(metrics)
     record: dict[str, Any] = {
         "v": TELEMETRY_VERSION,
-        "round": result.round_index,
-        "sim_time": result.now,
+        "round": result.pass_index,
+        "sim_time": result.sim_time,
         "queue_depth": result.queue_depth,
         "admission_queue_depth": admission_queue_depth,
         "active_jobs": result.active_jobs,

@@ -1,7 +1,5 @@
 """Discrete-event ML-cluster simulator: events, execution, network, engine."""
 
-from typing import Any
-
 from repro.sim.engine import EngineConfig, PassResult, SimulationEngine, TaskQueue
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.execution import ExecutionModel
@@ -44,7 +42,6 @@ __all__ = [
     "Migration",
     "PassResult",
     "Placement",
-    "RoundResult",
     "Scheduler",
     "SchedulerDecision",
     "SchedulingContext",
@@ -61,12 +58,3 @@ __all__ = [
     "run_simulation",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    # ``RoundResult`` stays importable for one release; the engine
-    # module owns the alias (and its DeprecationWarning).
-    if name == "RoundResult":
-        from repro.sim import engine
-
-        return engine.RoundResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,9 +24,6 @@ simulation time; :meth:`SimulationEngine.inject_job` admits a job
 mid-run (the streaming-arrival path); :meth:`SimulationEngine.cancel_job`
 terminates an active job early.  ``run()`` is a thin loop over
 ``advance()`` so both drivers produce the identical schedule.
-:meth:`SimulationEngine.step` remains as a deprecated round-indexed
-shim over ``advance()`` (one release of compatibility; see DESIGN.md
-§15).
 
 Event-driven mode: ``EngineConfig(pass_policy="event")`` keeps the
 fixed scheduling-pass grid but *parks* the pass timer whenever a pass
@@ -50,10 +47,9 @@ from __future__ import annotations
 import math
 import random
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.check.sanitize import Sanitizer, sanitize_from_env
 from repro.cluster.cluster import Cluster
@@ -144,11 +140,6 @@ class PassResult:
     these into telemetry records keyed by ``sim_time``; ``ticked`` is
     False when the event queue ran dry (or ``max_time`` was hit) before
     a pass could fire.
-
-    ``PassResult`` supersedes the round-indexed ``RoundResult`` (which
-    is now a deprecated alias of this class): ``round_index`` and
-    ``now`` remain readable as compatibility properties for one release
-    (DESIGN.md §15 documents the migration).
     """
 
     pass_index: int
@@ -171,32 +162,6 @@ class PassResult:
     faults: int = 0
     tasks_killed: int = 0
     failed_servers: int = 0
-
-    @property
-    def round_index(self) -> int:
-        """Deprecated spelling of :attr:`pass_index`."""
-        return self.pass_index
-
-    @property
-    def now(self) -> float:
-        """Deprecated spelling of :attr:`sim_time`."""
-        return self.sim_time
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecated alias kept importable for one release: the engine's
-    # public result type is PassResult; RoundResult is the same class
-    # under its pre-event-engine name.
-    if name == "RoundResult":
-        warnings.warn(
-            "RoundResult is deprecated; use repro.sim.engine.PassResult"
-            " (same fields, with pass_index/sim_time as the primary"
-            " spellings of round_index/now)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PassResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TaskQueue:
@@ -522,22 +487,6 @@ class SimulationEngine:
             if target > self.now:
                 self.now = target
         return self.now
-
-    def step(self) -> PassResult:
-        """Deprecated alias of :meth:`advance` (no ``until`` bound).
-
-        The round-indexed stepping surface predates the event-driven
-        engine; new callers should drive the engine with
-        :meth:`advance` / :meth:`run_until`.  The shim is bit-identical
-        to ``advance()`` — the golden traces pin that contract.
-        """
-        warnings.warn(
-            "SimulationEngine.step() is deprecated; use advance() or"
-            " run_until() (see DESIGN.md §15)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.advance()
 
     def finalize(self) -> SimulationMetrics:
         """Force-complete what is still active and close the metrics."""

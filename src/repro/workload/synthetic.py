@@ -228,8 +228,9 @@ def sparse_trace_config(
 
     The regime where event-driven passes shine — jobs spend most of
     their life in long iterations with nothing schedulable, so fixed
-    60 s cadence burns passes that place nothing.  Used by
-    ``benchmarks/bench_scale.py``.
+    60 s cadence burns passes that place nothing.  Used by the
+    benchmark suite's ``sparse-long`` workload and the slow sparse leg
+    of ``tests/test_event_equivalence.py``.
     """
     return SyntheticTraceConfig(
         num_jobs=num_jobs,

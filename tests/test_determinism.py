@@ -53,7 +53,7 @@ class TestSameSeedBitIdentical:
         lines_b, rounds_b, jcts_b = run_once(seed=17)
         # Bit-identical telemetry JSONL, round for round.
         assert lines_a == lines_b
-        # RoundResult dataclasses compare field-wise.
+        # PassResult dataclasses compare field-wise.
         assert rounds_a == rounds_b
         assert jcts_a == jcts_b
 

@@ -3,15 +3,15 @@
 Covers the PR-9 redesign: ``pass_policy="event"`` outcome-equivalence
 against the fixed cadence (including under fault plans and as a
 hypothesis sweep), the ``advance``/``run_until``/``fast_forward``
-surface, the ``step()``/``RoundResult`` deprecation shims, the
-lazy-deletion :class:`TaskQueue`, mid-heap snapshot/restore
-bit-identity, and the daemon's ``step until=``/``events=`` verb modes.
+surface, the lazy-deletion :class:`TaskQueue`, mid-heap
+snapshot/restore bit-identity, the daemon's ``step until=``/``events=``
+verb modes, and (slow) a 10,000-job synthetic-Philly slice draining end
+to end in event mode.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +30,13 @@ from repro.service import (
 )
 from repro.service.daemon import ThreadedDaemon
 from repro.sim import EngineConfig, SimulationEngine
-from repro.sim.engine import PassResult, TaskQueue
+from repro.sim.engine import TaskQueue
 from repro.workload import build_jobs, generate_trace
+from repro.workload.synthetic import (
+    PhillyLikeTraceGenerator,
+    philly_cluster,
+    philly_scale_config,
+)
 from tests.conftest import make_job
 
 WEEK = 7 * 24 * 3600.0
@@ -120,6 +125,29 @@ class TestEventEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Philly scale: a 10,000-job slice drains in event mode
+# ---------------------------------------------------------------------------
+
+
+class TestPhillyScale:
+    @pytest.mark.slow
+    def test_ten_thousand_job_slice_completes(self):
+        trace = PhillyLikeTraceGenerator(
+            config=philly_scale_config(num_jobs=10_000), seed=7
+        ).generate()
+        engine = SimulationEngine(
+            make_mlf_h(),
+            build_jobs(trace, seed=7),
+            philly_cluster(),
+            EngineConfig(seed=7, max_time=400 * 24 * 3600.0, pass_policy="event"),
+        )
+        records = engine.run().job_records
+        assert len(records) == 10_000
+        # Every job ran all its iterations: none was force-completed at max_time.
+        assert all(r.iterations_completed == r.max_iterations for r in records)
+
+
+# ---------------------------------------------------------------------------
 # Time-based stepping API
 # ---------------------------------------------------------------------------
 
@@ -155,33 +183,6 @@ class TestTimeBasedApi:
         assert engine.now == 120.0
         engine.fast_forward(WEEK * 100)  # clamped to max_time
         assert engine.now == engine.config.max_time
-
-    def test_step_shim_warns_and_matches_advance(self):
-        engine = build_engine("fixed")
-        engine.start()
-        with pytest.warns(DeprecationWarning, match="advance"):
-            first = engine.step()
-        assert isinstance(first, PassResult)
-        # The shim is advance() exactly: a full step loop reproduces run().
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            while True:
-                result = engine.step()
-                if result.drained or result.events_processed == 0:
-                    break
-        engine.finalize()
-        assert job_tuples(engine.metrics) == job_tuples(build_engine("fixed").run())
-
-    def test_roundresult_alias_warns_and_is_passresult(self):
-        with pytest.warns(DeprecationWarning, match="PassResult"):
-            from repro.sim.engine import RoundResult
-        assert RoundResult is PassResult
-
-    def test_passresult_compat_properties(self):
-        engine = build_engine("fixed")
-        result = engine.advance()
-        assert result.round_index == result.pass_index
-        assert result.now == result.sim_time
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ Also here: the regression test for the hoisted ``event_parkable`` read
 once at construction), and unit tests for the integer
 :class:`~repro.sim.clock.PassClock` that backs Gandiva's slice rotation
 and SLAQ's epoch (``advance(n)`` must equal n explicit ticks).
+
+The slow leg scales the spine up to the 100-job sparse long-job trace,
+where parking must stay bit-identical *and* cut scheduling passes by at
+least 100× — a deterministic count, not a CPU-time ratio.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.schedulers import SCHEDULER_FACTORIES, build_scheduler
 from repro.sim import EngineConfig, SimulationEngine
 from repro.sim.clock import PassClock
 from repro.workload import build_jobs, generate_trace
+from repro.workload.synthetic import PhillyLikeTraceGenerator, sparse_trace_config
 
 WEEK = 7 * 24 * 3600.0
 
@@ -138,6 +143,28 @@ class TestCrossPolicyEquivalence:
         """The ISSUE's acceptance bar: MLF-H, MLF-RL, Tiresias, Gandiva
         and SLAQ all declare ``event_parkable``."""
         assert {"MLF-H", "MLF-RL", "Tiresias", "Gandiva", "SLAQ"} <= set(PARKABLE)
+
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("policy", ["MLF-H", "MLF-RL", "Tiresias", "Gandiva", "SLAQ"])
+    def test_sparse_long_trace_parks_at_least_100x(self, policy):
+        """100 long jobs over 90 days on 40 servers: fixed ≡ event, and
+        the fixed cadence runs at least 100 passes per event-mode pass."""
+        records = PhillyLikeTraceGenerator(
+            config=sparse_trace_config(num_jobs=100), seed=11
+        ).generate()
+        engines = {
+            pass_policy: SimulationEngine(
+                build_scheduler(policy),
+                build_jobs(records, seed=11),
+                Cluster.build(40, 4),
+                EngineConfig(seed=5, max_time=400 * 24 * 3600.0, pass_policy=pass_policy),
+            )
+            for pass_policy in ("fixed", "event")
+        }
+        fixed, event = engines["fixed"], engines["event"]
+        assert signature(fixed.run()) == signature(event.run())
+        assert fixed.pass_index >= 100 * event.pass_index
 
 
 # ---------------------------------------------------------------------------

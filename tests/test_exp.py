@@ -120,6 +120,15 @@ class TestSweepDeterminism:
         )
         assert serial.measured.keys() == parallel.measured.keys()
 
+    def test_warm_pool_rerun_bit_identical(self):
+        """A second run on the runner's live pool merges like the first."""
+        grid = small_grid()
+        serial = json.dumps(api.sweep(grid, workers=0).merged(), sort_keys=True)
+        with api.SweepRunner(workers=2) as runner:
+            cold, warm = runner.run(grid), runner.run(grid)
+        assert json.dumps(cold.merged(), sort_keys=True) == serial
+        assert json.dumps(warm.merged(), sort_keys=True) == serial
+
     def test_matches_direct_simulation(self):
         record = api.run(SMALL)
         records = generate_trace(6, duration_seconds=1800.0, seed=1)

@@ -427,8 +427,10 @@ class TestLoadgen:
             assert tagged == bare  # byte-identical stream otherwise
             assert trace_id == derive_trace_id(5, bare["tenant"], index)
 
-    def test_loadgen_replays_without_loss_or_duplication(self, tmp_path):
-        with ThreadedGateway(gateway_config(tmp_path, workers=2)) as gateway:
+    @pytest.mark.parametrize("spawn", ["thread", "process"])
+    def test_loadgen_replays_without_loss_or_duplication(self, tmp_path, spawn):
+        config = gateway_config(tmp_path, workers=2, spawn=spawn)
+        with ThreadedGateway(config) as gateway:
             result = run_loadgen(
                 gateway.target, count=300, batch=50, tenants=8, seed=1
             )
@@ -439,6 +441,8 @@ class TestLoadgen:
         assert result["latency_ms"]["p99"] >= result["latency_ms"]["p50"]
         # Both partitions saw traffic.
         assert set(result["per_partition"]) == {"0", "1"}
+        # Every worker exited cleanly on the gateway's shutdown verb.
+        assert gateway.supervisor.exit_codes() == {0: 0, 1: 0}
 
 
 class TestDeterminismContract:
@@ -507,17 +511,21 @@ class TestDistributedTracing:
         assert worker["span_id"] == derive_span_id(ctx.trace_id, "worker.admission")
         assert worker["parent_id"] == gw["span_id"]
 
-    def test_batch_fanout_spans_match_across_lanes(self, tmp_path):
-        config = gateway_config(tmp_path, workers=2, trace=True)
+    @pytest.mark.parametrize("spawn", ["thread", "process"])
+    def test_batch_fanout_spans_match_across_lanes(self, tmp_path, spawn):
+        config = gateway_config(tmp_path, workers=2, spawn=spawn, trace=True)
         with ThreadedGateway(config) as gateway:
             with ServiceClient(gateway.target) as client:
                 payloads = list(generate_payloads(60, tenants=8, seed=2, trace=True))
                 client.submit_batch(payloads[:30])
                 client.submit_batch(payloads[30:])
                 dump = client.trace_dump()
+                text = client.metrics_text()
+        assert gateway.supervisor.exit_codes() == {0: 0, 1: 0}
         assert dump["processes"] == ["gateway", "worker-00", "worker-01"]
         summary = trace_summary(dump["trace"])
         assert summary["lanes"] >= 3  # gateway + both workers recorded spans
+        assert summary["dropped"] == 0
         analysis = analyze_trace(dump["trace"])
         # Cross-process integrity: every gateway fan-out RPC has a
         # matching worker-side span parented under it.
@@ -532,6 +540,9 @@ class TestDistributedTracing:
             if e["name"] == "worker.admission"
         }
         assert derive_trace_id(2, payloads[0]["tenant"], 0) in by_trace
+        # The merged exposure is valid Prometheus text labelled per source.
+        assert validate_metrics_text(text) == []
+        assert 'worker="gateway"' in text and 'worker="0"' in text
 
     def test_trace_dump_reports_disabled_when_off(self, tmp_path):
         with ThreadedGateway(gateway_config(tmp_path)) as gateway:

@@ -1,5 +1,7 @@
 """Unit tests for metrics aggregation and the analysis helpers."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,10 @@ from repro.analysis import (
     improvement,
     log_spaced_points,
     percentile,
+    percentile_sorted,
     summary_rows,
 )
+from repro.service.telemetry import JCT_PERCENTILES, RunningJctStats
 from repro.sim import SimulationMetrics
 from tests.conftest import make_job
 
@@ -154,6 +158,34 @@ class TestCdfHelpers:
     def test_percentile_within_range(self, values):
         p = percentile(values, 37.5)
         assert min(values) <= p <= max(values)
+
+
+class TestRunningJctStats:
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1e7), max_size=8),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_full_sort_after_every_batch(self, batches):
+        """The incremental sample reports exactly the percentiles of a
+        from-scratch sort of every JCT so far, after each batch."""
+        metrics = SimulationMetrics()
+        metrics.record_job(completed_job(seed=1), waiting_time=0.0)
+        template = metrics.job_records.pop()
+        stats = RunningJctStats()
+        for batch in batches:
+            for jct in batch:
+                metrics.job_records.append(dataclasses.replace(template, jct=jct))
+            stats.sync(metrics)
+            jcts = sorted(r.jct for r in metrics.job_records)
+            assert len(stats) == len(jcts)
+            if jcts:
+                assert [stats.percentile(q) for q in JCT_PERCENTILES] == [
+                    percentile_sorted(jcts, q) for q in JCT_PERCENTILES
+                ]
 
 
 class TestTables:

@@ -85,9 +85,9 @@ class TestSteppingEngine:
             results.append(result)
             if result.drained or result.events_processed == 0:
                 break
-        indices = [r.round_index for r in results if r.ticked]
+        indices = [r.pass_index for r in results if r.ticked]
         assert indices == sorted(indices)
-        times = [r.now for r in results]
+        times = [r.sim_time for r in results]
         assert times == sorted(times)
         assert all(r.queue_depth >= 0 for r in results)
         assert sum(r.arrivals for r in results) == 8

@@ -1,38 +1,41 @@
-"""Correctness tooling: custom lint, runtime sanitizer, typing gate.
+"""Correctness tooling: static checks over one parse, runtime sanitizer.
 
 MLFS correctness rests on invariants the paper states but ordinary
 tests rarely exercise: GPU/bandwidth conservation under MLF-H placement
 and overload relief (Eqs. 2-6), priority-ordered dequeue, and
-deterministic replay of the simulated schedule.  This package holds the
-three coordinated passes that police them:
+deterministic replay of the simulated schedule.  Three tools police
+them, built from five modules:
 
-* :mod:`repro.check.lint` -- a repo-specific AST lint (``repro lint``)
-  that rejects the code patterns which historically break determinism
-  and hygiene: wall-clock reads and global-RNG draws inside simulated
+* ``repro lint`` (:mod:`repro.check.lint`) -- per-file rules that
+  reject the code patterns which historically break determinism and
+  hygiene: wall-clock reads and global-RNG draws inside simulated
   code, mutable default arguments, bare ``except:``, float ``==`` on
-  priority/score values, and ``print()`` in library code.
-* :mod:`repro.check.sanitize` -- an opt-in runtime invariant sanitizer
-  (``REPRO_SANITIZE=1`` or ``SimulationEngine(sanitize=True)``) that
-  after every scheduler round asserts resource conservation, queue
+  priority/score values, ``print()`` in library code and
+  non-deterministic ID sources.  ``repro typecheck``
+  (:mod:`repro.check.typing_gate`) runs mypy when installed and
+  otherwise the lint's TYP001 annotation rule over the strict
+  packages.
+* ``repro analyze`` (:mod:`repro.check.graph`) -- the whole-program
+  analyzer.  Its pass 1 is the package's only front end: every file is
+  parsed once into a ``ModuleInfo`` whose import maps resolve any call
+  to its canonical dotted name, and the lint rules run over that same
+  parse.  On top of it the analyzer builds a symbol table, import graph
+  and call graph and checks cross-module invariants no per-file pass
+  can see -- blocking calls reachable from event-loop coroutines
+  (REP100), wire-protocol verb drift (REP101), unpicklable state
+  reachable from snapshot roots (REP102), and wall-clock/entropy taint
+  flowing into digests, telemetry or trace ids (REP103).  Reports as
+  text, JSON or SARIF 2.1.0 (:mod:`repro.check.sarif`) with baseline
+  suppression.
+* The runtime invariant sanitizer (:mod:`repro.check.sanitize`), opt-in
+  via ``REPRO_SANITIZE=1`` or ``SimulationEngine(sanitize=True)``:
+  after every scheduler round it asserts resource conservation, queue
   consistency, priority-monotone dequeue order and snapshot round-trip
   equality, raising :class:`~repro.check.sanitize.InvariantViolation`
   with the offending server/task ids.
-* :mod:`repro.check.typing_gate` -- the strict-typing gate
-  (``repro typecheck``): runs ``mypy`` with the ``pyproject.toml``
-  configuration when available and otherwise falls back to an AST
-  annotation-coverage check over the strict packages
-  (``repro.core``, ``repro.cluster``, ``repro.check``).
-* :mod:`repro.check.graph` -- the whole-program analyzer
-  (``repro analyze``): builds a project-wide symbol table, import graph
-  and call graph, then checks cross-module invariants no per-file pass
-  can see — blocking calls reachable from event-loop coroutines
-  (REP100), wire-protocol verb drift between declaration, handlers and
-  issuers (REP101), unpicklable state reachable from snapshot roots
-  (REP102), and wall-clock/entropy taint flowing into digests,
-  telemetry or trace ids (REP103).  Reports as text, JSON or SARIF
-  2.1.0 (:mod:`repro.check.sarif`) with baseline suppression.
-* :mod:`repro.check.rules` -- the single registry documenting every
-  rule's rationale, scope and disable syntax; ``--explain`` renders it.
+
+:mod:`repro.check.rules` is the single registry documenting every
+rule's rationale, scope and disable syntax; ``--explain`` renders it.
 """
 
 from repro.check.graph import (
@@ -40,15 +43,10 @@ from repro.check.graph import (
     Finding,
     Project,
     analyze_paths,
-)
-from repro.check.lint import (
-    LintViolation,
-    RULES,
-    lint_paths,
-    lint_source,
     render_json,
     render_text,
 )
+from repro.check.lint import RULES, lint_paths, lint_source
 from repro.check.rules import ANALYZE_RULES, LINT_RULES, REGISTRY, RuleInfo, explain
 from repro.check.sanitize import (
     InvariantViolation,
@@ -64,7 +62,6 @@ __all__ = [
     "Finding",
     "InvariantViolation",
     "LINT_RULES",
-    "LintViolation",
     "Project",
     "REGISTRY",
     "RULES",

@@ -1,13 +1,22 @@
-"""Whole-program analyzer (``repro analyze``).
+"""Whole-program analyzer (``repro analyze``) and the one front end of
+``repro.check``.
 
-Where :mod:`repro.check.lint` scans one file at a time, this module
-builds a project-wide view of the package and checks the cross-module
-invariants the three-process deployment (client → gateway → N worker
-daemons) actually rests on:
+Pass 1 below is the only parse in the package: :mod:`repro.check.lint`
+and the TYP001 gate run their per-file rules over the same
+:class:`ModuleInfo`, with the same import resolver
+(:meth:`ModuleInfo.canonical`), suppression parser
+(:meth:`ModuleInfo.suppressed`), :class:`Finding` type and text/JSON
+renderers.  On top of it this module builds a project-wide view of the
+package and checks the cross-module invariants the three-process
+deployment (client → gateway → N worker daemons) actually rests on:
 
 Pass 1 — the program graph
-    Every ``.py`` file is parsed once into a :class:`ModuleInfo`; from
-    those the :class:`Project` derives a symbol table (every function,
+    Every ``.py`` file is parsed once into a :class:`ModuleInfo`, which
+    records its import aliases; ``canonical()`` turns any call target
+    into its canonical dotted name (``np.random.rand`` →
+    ``numpy.random.rand``), so every rule that names a library callable
+    is a lookup in a canonical-name table.  From the modules the
+    :class:`Project` derives a symbol table (every function,
     method and class by dotted qualname), an import graph, per-class
     attribute types (inferred from constructor calls and parameter
     annotations), a subclass index, and a resolved call graph.  Method
@@ -55,19 +64,22 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.check.lint import iter_python_files
-from repro.check.rules import ANALYZE_RULES
+from repro.check.rules import REGISTRY
 
 __all__ = [
     "AnalyzerConfig",
     "BASELINE_FILENAME",
     "Finding",
+    "ModuleInfo",
     "Project",
     "analyze_paths",
     "analyze_project",
+    "dotted_name",
+    "iter_python_files",
     "load_baseline",
     "main",
     "render_json",
@@ -81,7 +93,12 @@ BASELINE_FILENAME = ".repro-analyze-baseline.json"
 #: Format tag stamped into the baseline file.
 BASELINE_FORMAT = "repro.check.graph/baseline/1"
 
-_DISABLE_COMMENT = re.compile(r"#\s*repro-analyze:\s*disable=([A-Za-z0-9_,\s]+)")
+#: Inline waivers, by comment tag: ``# repro-lint: disable=REP001`` for
+#: the lint and TYP001, ``# repro-analyze: disable=REP100`` here.
+_DISABLE_COMMENT = {
+    tag: re.compile(rf"#\s*{tag}:\s*disable=([A-Za-z0-9_,\s]+)")
+    for tag in ("repro-lint", "repro-analyze")
+}
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +165,12 @@ class AnalyzerConfig:
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer finding.
+    """One finding of ``repro lint``, ``repro typecheck`` or ``repro analyze``.
 
-    ``fingerprint_key`` is a line-number-free stable key (rule-specific:
-    verb names, class.attr paths, call chains) so baselines survive
-    unrelated edits that shift lines.
+    Only analyzer findings carry a ``fingerprint_key``: a
+    line-number-free stable key (rule-specific: verb names, class.attr
+    paths, call chains) so baselines survive unrelated edits that shift
+    lines.
     """
 
     path: str
@@ -160,7 +178,7 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    fingerprint_key: str
+    fingerprint_key: Optional[str] = None
 
     @property
     def fingerprint(self) -> str:
@@ -175,16 +193,55 @@ class Finding:
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready representation (stable keys)."""
-        return {
+        """JSON-ready representation (stable keys; a fingerprint when keyed)."""
+        doc: dict[str, object] = {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "rule": self.rule_id,
-            "name": ANALYZE_RULES[self.rule_id].name,
+            "name": REGISTRY[self.rule_id].name,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
+        if self.fingerprint_key is not None:
+            doc["fingerprint"] = self.fingerprint
+        return doc
+
+
+def render_text(
+    findings: Sequence[Finding], baselined: Optional[Sequence[Finding]] = None
+) -> str:
+    """GCC-style one-line-per-finding report.
+
+    The summary line counts violations (the lint) or, when a baseline
+    split is given, new and baselined findings (the analyzer).
+    """
+    lines = [
+        f"{f.path}:{f.line}:{f.col}: {f.rule_id}"
+        f" [{REGISTRY[f.rule_id].name}] {f.message}"
+        for f in findings
+    ]
+    if baselined is None:
+        lines.append(f"{len(findings)} violation(s)")
+    else:
+        lines.append(f"{len(findings)} new finding(s), {len(baselined)} baselined")
+    return "\n".join(lines)
+
+
+def render_json(
+    findings: Sequence[Finding], baselined: Optional[Sequence[Finding]] = None
+) -> str:
+    """Machine-readable report (the CI input), shaped like :func:`render_text`."""
+    doc: dict[str, object]
+    if baselined is None:
+        doc = {"violations": [f.as_dict() for f in findings], "count": len(findings)}
+    else:
+        doc = {
+            "findings": [f.as_dict() for f in findings],
+            "baselined": [f.as_dict() for f in baselined],
+            "count": len(findings),
+            "baselined_count": len(baselined),
+        }
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +249,19 @@ class Finding:
 # ---------------------------------------------------------------------------
 
 
-def _dotted(node: ast.expr) -> Optional[str]:
+def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    out: set[Path] = set()
+    for entry in paths:
+        p = Path(entry)
+        if p.is_dir():
+            out.update(p.rglob("*.py"))
+        elif p.suffix == ".py":
+            out.add(p)
+    return sorted(out)
+
+
+def dotted_name(node: ast.expr) -> Optional[str]:
     """Render a Name/Attribute chain as ``a.b.c`` (None when dynamic)."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -214,7 +283,7 @@ def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
         except SyntaxError:
             return None
     if isinstance(node, ast.Subscript):  # Optional[X], list[X], ...
-        base = _dotted(node.value)
+        base = dotted_name(node.value)
         if base and base.split(".")[-1] in ("Optional", "Final", "ClassVar"):
             return _annotation_name(node.slice)
         return None
@@ -224,7 +293,7 @@ def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
             if name is not None and name != "None":
                 return name
         return None
-    dotted = _dotted(node)
+    dotted = dotted_name(node)
     if dotted in (None, "None"):
         return None
     return dotted.split(".")[-1]
@@ -308,16 +377,62 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
-    def suppressed(self, line: int) -> frozenset[str]:
-        """Rules waived on ``line`` via ``# repro-analyze: disable=``."""
-        if not 0 < line <= len(self.source_lines):
-            return frozenset()
-        match = _DISABLE_COMMENT.search(self.source_lines[line - 1])
-        if not match:
-            return frozenset()
-        return frozenset(
-            tok.strip().upper() for tok in match.group(1).split(",") if tok.strip()
+    @classmethod
+    def parse(cls, source: str, path: Path, name: str) -> "ModuleInfo":
+        """Parse one module and record its import aliases.
+
+        The alias maps cover every import in the file, wherever it
+        sits, so a function defined above a module-level ``import time``
+        still resolves ``time.time``.  Raises ``SyntaxError``.
+        """
+        module = cls(
+            name=name,
+            path=path,
+            tree=ast.parse(source, filename=str(path)),
+            source_lines=source.splitlines(),
         )
+        for node in module.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        module.imports[alias.asname] = alias.name
+                    else:  # ``import os.path`` binds ``os``
+                        head = alias.name.split(".")[0]
+                        module.imports[head] = head
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    module.from_imports[bound] = f"{node.module}.{alias.name}"
+        return module
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order."""
+        return list(ast.walk(self.tree))
+
+    def canonical(self, dotted: str) -> str:
+        """``dotted`` with its head resolved through the import maps.
+
+        ``np.random.rand`` → ``numpy.random.rand`` after ``import numpy
+        as np``; ``t`` → ``time.time`` after ``from time import time as
+        t``.  A head the module does not import (a builtin, a local,
+        ``self``) is kept as written.
+        """
+        head, dot, rest = dotted.partition(".")
+        base = self.from_imports.get(head) or self.imports.get(head)
+        return dotted if base is None else base + dot + rest
+
+    def suppressed(
+        self, line: int, rule_id: str, tag: str = "repro-analyze"
+    ) -> bool:
+        """Whether ``# <tag>: disable=<rule_id>`` (or ``=all``) waives ``line``."""
+        if not 0 < line <= len(self.source_lines):
+            return False
+        match = _DISABLE_COMMENT[tag].search(self.source_lines[line - 1])
+        if not match:
+            return False
+        waived = {tok.strip().upper() for tok in match.group(1).split(",")}
+        return rule_id in waived or "ALL" in waived
 
 
 class _FunctionCollector(ast.NodeVisitor):
@@ -357,14 +472,14 @@ class _FunctionCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _record_call(self, node: ast.Call, awaited: bool) -> None:
-        target = _dotted(node.func)
+        target = dotted_name(node.func)
         if target is not None:
             self.info.calls.append(CallSite(target=target, node=node, awaited=awaited))
 
     def _infer_assign(self, targets: list[ast.expr], value: ast.expr) -> None:
         type_name: Optional[str] = None
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted:
                 type_name = dotted.split(".")[-1]
         elif isinstance(value, ast.Name):
@@ -409,8 +524,7 @@ class Project:
 
     def _load_module(self, path: Path, name: str) -> None:
         try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
+            module = ModuleInfo.parse(path.read_text(encoding="utf-8"), path, name)
         except (OSError, SyntaxError) as exc:
             self.errors.append(
                 Finding(
@@ -423,23 +537,8 @@ class Project:
                 )
             )
             return
-        module = ModuleInfo(
-            name=name, path=path, tree=tree, source_lines=source.splitlines()
-        )
-        self._collect_imports(module)
         self._collect_defs(module)
         self.modules[name] = module
-
-    def _collect_imports(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    module.imports[bound] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    module.from_imports[bound] = f"{node.module}.{alias.name}"
 
     def _collect_defs(self, module: ModuleInfo) -> None:
         for node in module.tree.body:
@@ -452,7 +551,7 @@ class Project:
         qualname = f"{module.name}.{node.name}"
         info = ClassInfo(qualname=qualname, module=module, name=node.name, node=node)
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted:
                 info.bases.append(dotted.split(".")[-1])
         for item in node.body:
@@ -538,7 +637,7 @@ class Project:
         value: ast.expr,
     ) -> None:
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted:
                 info.attr_types.setdefault(attr, dotted.split(".")[-1])
         elif isinstance(value, ast.Name):
@@ -548,7 +647,7 @@ class Project:
         elif isinstance(value, (ast.IfExp, ast.BoolOp)):
             for sub in ast.walk(value):
                 if isinstance(sub, ast.Call):
-                    dotted = _dotted(sub.func)
+                    dotted = dotted_name(sub.func)
                     if dotted:
                         info.attr_types.setdefault(attr, dotted.split(".")[-1])
                         break
@@ -666,12 +765,13 @@ class Project:
         """
         parts = site.target.split(".")
         module = fn.module
+        canonical = module.canonical(site.target)
         if len(parts) == 1:
             name = parts[0]
             qual = f"{module.name}.{name}"
             if qual in self.functions:
                 return [self.functions[qual]]
-            imported = self.from_imports_target(module, name)
+            imported = self._imported(canonical) if canonical != name else []
             if imported:
                 return imported
             cls = self.resolve_class(name, module)
@@ -681,23 +781,7 @@ class Project:
         *chain, method = parts
         # ``mod.func()`` through a module import.
         if len(chain) == 1 and chain[0] in module.imports:
-            imported_module = module.imports[chain[0]]
-            target = self.modules.get(imported_module)
-            if target is None:
-                for name, candidate in self.modules.items():
-                    if name == imported_module or name.endswith(
-                        "." + imported_module
-                    ):
-                        target = candidate
-                        break
-            if target is not None:
-                qual = f"{target.name}.{method}"
-                if qual in self.functions:
-                    return [self.functions[qual]]
-                cls = target.classes.get(method)
-                if cls and "__init__" in cls.methods:
-                    return [cls.methods["__init__"]]
-            return []
+            return self._imported(canonical)
         receiver = self.receiver_type(chain, fn)
         if receiver is not None:
             return self._class_and_subclass_methods(receiver, method)
@@ -708,22 +792,16 @@ class Project:
                 return self._class_and_subclass_methods(cls, method)
         return []
 
-    def from_imports_target(
-        self, module: ModuleInfo, name: str
-    ) -> list[FunctionInfo]:
-        """Resolve ``from x import name`` to the defining module's function."""
-        imported = module.from_imports.get(name)
-        if not imported:
-            return []
-        target_module, _, attr = imported.rpartition(".")
-        for mod_name, mod in self.modules.items():
-            if mod_name == target_module or mod_name.endswith("." + target_module):
-                qual = f"{mod_name}.{attr}"
-                if qual in self.functions:
-                    return [self.functions[qual]]
-                cls = mod.classes.get(attr)
-                if cls and "__init__" in cls.methods:
-                    return [cls.methods["__init__"]]
+    def _imported(self, canonical: str) -> list[FunctionInfo]:
+        """The project function, or class constructor, ``module.attr`` names."""
+        module_name, _, attr = canonical.rpartition(".")
+        for module in self.modules_matching(module_name):
+            qual = f"{module.name}.{attr}"
+            if qual in self.functions:
+                return [self.functions[qual]]
+            cls = module.classes.get(attr)
+            if cls and "__init__" in cls.methods:
+                return [cls.methods["__init__"]]
         return []
 
 
@@ -756,9 +834,10 @@ def _discover_modules(
 # REP100: async-safety
 # ---------------------------------------------------------------------------
 
-#: Blocking module-level callables: dotted-name suffixes after import
-#: resolution (``time.sleep`` also matches ``from time import sleep``).
-_BLOCKING_MODULE_CALLS = {
+#: Blocking callables, by canonical name (``time.sleep`` also matches
+#: ``from time import sleep``; a bare ``open`` is the builtin).
+_BLOCKING_CALLS = {
+    "open": "open() file I/O",
     "time.sleep": "time.sleep()",
     "socket.socket": "socket.socket() construction",
     "socket.create_connection": "socket.create_connection()",
@@ -772,9 +851,6 @@ _BLOCKING_MODULE_CALLS = {
     "pickle.dump": "pickle.dump() on a file",
     "pickle.load": "pickle.load() from a file",
 }
-
-#: Blocking bare builtins.
-_BLOCKING_BUILTINS = {"open": "open() file I/O"}
 
 #: Blocking terminal attributes (method calls), matched on the call name
 #: when the receiver type is unknown.  ``.result()``/``.wait()``/
@@ -802,23 +878,11 @@ def _blocking_primitive(site: CallSite, fn: FunctionInfo, project: Project) -> O
     """Describe the blocking primitive at ``site`` (None when not one)."""
     if site.awaited:
         return None
-    target = site.target
-    parts = target.split(".")
-    module = fn.module
-    if len(parts) == 1:
-        name = parts[0]
-        if name in _BLOCKING_BUILTINS and name not in module.from_imports:
-            return _BLOCKING_BUILTINS[name]
-        imported = module.from_imports.get(name)
-        if imported in _BLOCKING_MODULE_CALLS:
-            return _BLOCKING_MODULE_CALLS[imported]
-        return None
-    head, tail = parts[0], parts[-1]
-    resolved_head = module.imports.get(head)
-    if resolved_head:
-        dotted = f"{resolved_head}.{tail}"
-        if dotted in _BLOCKING_MODULE_CALLS:
-            return _BLOCKING_MODULE_CALLS[dotted]
+    blocking = _BLOCKING_CALLS.get(fn.module.canonical(site.target))
+    parts = site.target.split(".")
+    if blocking is not None or len(parts) == 1:
+        return blocking
+    tail = parts[-1]
     if tail == "open" and parts[-2].lower().endswith("path"):
         return "Path.open() file I/O"
     if tail in _BLOCKING_METHODS:
@@ -854,10 +918,7 @@ def _check_async_safety(project: Project, config: AnalyzerConfig) -> list[Findin
                 primitive = _blocking_primitive(site, fn, project)
                 line = site.node.lineno
                 if primitive is not None:
-                    if {
-                        "REP100",
-                        "ALL",
-                    } & fn.module.suppressed(line):
+                    if fn.module.suppressed(line, "REP100"):
                         continue
                     key = (str(fn.module.path), line, site.node.col_offset)
                     if key in reported:
@@ -911,23 +972,22 @@ def _declared_verbs(module: ModuleInfo) -> tuple[Optional[ast.AST], set[str]]:
     return None, set()
 
 
+def _terminal_name(node: ast.expr) -> Optional[str]:
+    """``op`` for both ``op`` and ``request.op`` (None when dynamic)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _handled_verbs(module: ModuleInfo) -> dict[str, list[ast.Compare]]:
     """Verbs dispatched via ``request.op == "..."`` / ``op == "..."``."""
     handled: dict[str, list[ast.Compare]] = {}
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Compare) or len(node.ops) != 1:
             continue
         if not isinstance(node.ops[0], (ast.Eq, ast.In)):
             continue
-        left = node.left
-        left_name = (
-            left.attr
-            if isinstance(left, ast.Attribute)
-            else left.id
-            if isinstance(left, ast.Name)
-            else None
-        )
-        if left_name != "op":
+        if _terminal_name(node.left) != "op":
             continue
         for sub in ast.walk(node.comparators[0]):
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -944,21 +1004,13 @@ def _handler_params(module: ModuleInfo) -> dict[str, Optional[set[str]]]:
     reads everything — recorded as ``None`` (wildcard).
     """
     out: dict[str, Optional[set[str]]] = {}
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.If):
             continue
         test = node.test
         if not isinstance(test, ast.Compare) or len(test.ops) != 1:
             continue
-        left = test.left
-        left_name = (
-            left.attr
-            if isinstance(left, ast.Attribute)
-            else left.id
-            if isinstance(left, ast.Name)
-            else None
-        )
-        if left_name != "op" or not isinstance(test.ops[0], ast.Eq):
+        if _terminal_name(test.left) != "op" or not isinstance(test.ops[0], ast.Eq):
             continue
         comparator = test.comparators[0]
         if not (
@@ -990,9 +1042,7 @@ def _handler_params(module: ModuleInfo) -> dict[str, Optional[set[str]]]:
                     reads.add(str(index.value))
                 continue
             if isinstance(sub, ast.Name) and sub.id == "params":
-                parent_is_read = False  # bare ``params`` use → wildcard
-                del parent_is_read
-                wildcard = True
+                wildcard = True  # bare ``params`` use
         # ``params`` appearing only inside the reads above still trips the
         # wildcard scan; narrow it: wildcard only when reads are empty.
         previous = out.get(verb)
@@ -1019,18 +1069,10 @@ def _issued_verbs(
     the parameter set open-ended (recorded via the bool flag).
     """
     issued: dict[str, list[tuple[ast.Call | ast.Dict, set[str], bool]]] = {}
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id
-                if isinstance(func, ast.Name)
-                else None
-            )
             if (
-                name == "call"
+                _terminal_name(node.func) == "call"
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
@@ -1113,13 +1155,10 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
             for node, params, dynamic in sites:
                 issued.setdefault(verb, []).append((module, node, params, dynamic))
 
-    def _suppressed(module: ModuleInfo, line: int) -> bool:
-        return bool({"REP101", "ALL"} & module.suppressed(line))
-
     handler_names = ", ".join(m.name for m in handler_modules) or "<none>"
     for verb in sorted(declared):
         if verb not in handled:
-            if _suppressed(protocol, decl_line):
+            if protocol.suppressed(decl_line, "REP101"):
                 continue
             findings.append(
                 Finding(
@@ -1135,7 +1174,7 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
                 )
             )
         if verb not in issued:
-            if _suppressed(protocol, decl_line):
+            if protocol.suppressed(decl_line, "REP101"):
                 continue
             findings.append(
                 Finding(
@@ -1154,7 +1193,7 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
         if verb in declared:
             continue
         module, node = handled[verb][0]
-        if _suppressed(module, node.lineno):
+        if module.suppressed(node.lineno, "REP101"):
             continue
         findings.append(
             Finding(
@@ -1174,7 +1213,7 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
         sites = issued[verb]
         if verb not in declared:
             module, node, _, _ = sites[0]
-            if _suppressed(module, node.lineno):
+            if module.suppressed(node.lineno, "REP101"):
                 continue
             findings.append(
                 Finding(
@@ -1199,7 +1238,7 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
             unread = sorted(params - reads - _ENVELOPE_KEYS)
             if not unread:
                 continue
-            if _suppressed(module, node.lineno):
+            if module.suppressed(node.lineno, "REP101"):
                 continue
             findings.append(
                 Finding(
@@ -1222,7 +1261,7 @@ def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
 # REP102: snapshot picklability
 # ---------------------------------------------------------------------------
 
-#: Constructor dotted-name suffixes that produce unpicklable values.
+#: Constructors producing unpicklable values, by canonical-name suffix.
 _UNPICKLABLE_CALLS = {
     "threading.Lock": "a threading.Lock",
     "threading.RLock": "a threading.RLock",
@@ -1243,7 +1282,7 @@ _UNPICKLABLE_CALLS = {
     "concurrent.futures.ProcessPoolExecutor": "an executor",
 }
 
-#: Bare-name constructors (resolved through from-imports too).
+#: Constructors recognised by their bare name alone.
 _UNPICKLABLE_BARE = {
     "ThreadPoolExecutor": "an executor",
     "ProcessPoolExecutor": "an executor",
@@ -1258,7 +1297,6 @@ _UNPICKLABLE_METHODS = {
     "open": "an open file handle",
     "makefile": "a socket file object",
     "create_task": "an asyncio Task",
-    "set": None,  # ContextVar.set() → Token; gated on receiver checks below
 }
 
 
@@ -1272,39 +1310,22 @@ def _unpicklable_value(
         return "a lambda (unpicklable by the pickle protocol)"
     if not isinstance(value, ast.Call):
         return None
-    dotted = _dotted(value.func)
+    dotted = dotted_name(value.func)
     if dotted is None:
         return None
-    parts = dotted.split(".")
-    module = method.module
-    if len(parts) == 1:
-        name = parts[0]
-        imported = module.from_imports.get(name)
-        if imported:
-            for suffix, why in _UNPICKLABLE_CALLS.items():
-                if imported == suffix or imported.endswith("." + suffix):
-                    return why
-            bare = imported.split(".")[-1]
-            if bare in _UNPICKLABLE_BARE:
-                return _UNPICKLABLE_BARE[bare]
-        elif name in _UNPICKLABLE_BARE and name not in module.classes:
-            return _UNPICKLABLE_BARE[name]
-        if name == "open":
-            return "an open file handle"
-        if name == "iter":
-            return "an iterator"
-        return None
-    head, tail = parts[0], parts[-1]
-    resolved_head = module.imports.get(head)
-    if resolved_head:
-        candidate = f"{resolved_head}.{'.'.join(parts[1:])}"
-        for suffix, why in _UNPICKLABLE_CALLS.items():
-            if candidate == suffix or candidate.endswith("." + suffix):
-                return why
-    if tail in ("open", "makefile", "create_task"):
-        why = _UNPICKLABLE_METHODS[tail]
-        if why:
+    canonical = method.module.canonical(dotted)
+    for suffix, why in _UNPICKLABLE_CALLS.items():
+        if canonical == suffix or canonical.endswith("." + suffix):
             return why
+    parts = dotted.split(".")
+    if len(parts) == 1:
+        bare = canonical.rpartition(".")[2]
+        if bare in _UNPICKLABLE_BARE and dotted not in method.module.classes:
+            return _UNPICKLABLE_BARE[bare]
+        return {"open": "an open file handle", "iter": "an iterator"}.get(dotted)
+    tail = parts[-1]
+    if tail in _UNPICKLABLE_METHODS:
+        return _UNPICKLABLE_METHODS[tail]
     if tail == "set":
         # ``contextvar.set(...)`` returns a Token; only flag when the
         # receiver resolves to a ContextVar.
@@ -1338,7 +1359,7 @@ def _check_picklability(project: Project, config: AnalyzerConfig) -> list[Findin
             if assign.attr in cls.pickle_excluded:
                 continue
             line = assign.node.lineno
-            if {"REP102", "ALL"} & cls.module.suppressed(line):
+            if cls.module.suppressed(line, "REP102"):
                 continue
             why = _unpicklable_value(assign.value, assign.function, project)
             if why is not None:
@@ -1374,8 +1395,7 @@ def _check_picklability(project: Project, config: AnalyzerConfig) -> list[Findin
 # REP103: determinism taint
 # ---------------------------------------------------------------------------
 
-#: Entropy/wall-clock source callables (dotted suffixes after import
-#: resolution).
+#: Entropy/wall-clock source callables, by canonical name.
 _TAINT_SOURCES = {
     "time.time": "time.time()",
     "time.time_ns": "time.time_ns()",
@@ -1396,35 +1416,19 @@ _TAINT_SOURCES = {
     "random.randbytes": "global random.randbytes()",
     "datetime.datetime.now": "datetime.now()",
     "datetime.datetime.utcnow": "datetime.utcnow()",
+    "datetime.datetime.today": "datetime.today()",
+    "datetime.date.today": "date.today()",
 }
 
 #: Hash constructors whose ``update``/constructor args are digest sinks.
 _HASH_CONSTRUCTORS = {"sha256", "sha1", "md5", "blake2b", "blake2s", "new"}
 
 
-def _source_taint(site: CallSite, fn: FunctionInfo) -> Optional[str]:
-    """Describe the entropy source at ``site`` (None when clean)."""
-    target = site.target
-    parts = target.split(".")
-    module = fn.module
-    if len(parts) == 1:
-        imported = module.from_imports.get(parts[0])
-        if imported and imported in _TAINT_SOURCES:
-            return _TAINT_SOURCES[imported]
-        return None
-    resolved_head = module.imports.get(parts[0])
-    if resolved_head:
-        candidate = f"{resolved_head}.{'.'.join(parts[1:])}"
-        if candidate in _TAINT_SOURCES:
-            return _TAINT_SOURCES[candidate]
-    if target in _TAINT_SOURCES:
-        return _TAINT_SOURCES[target]
-    # ``datetime.now()`` through ``from datetime import datetime``.
-    if parts[-1] in ("now", "utcnow", "today"):
-        head = parts[0]
-        if module.from_imports.get(head, "").startswith("datetime."):
-            return f"{head}.{parts[-1]}()"
-    return None
+def _hash_constructor(module: ModuleInfo, dotted: str) -> Optional[str]:
+    """``hashlib.<ctor>`` when ``dotted`` names a hash constructor."""
+    canonical = module.canonical(dotted)
+    package, _, ctor = canonical.rpartition(".")
+    return canonical if package == "hashlib" and ctor in _HASH_CONSTRUCTORS else None
 
 
 class _TaintScan(ast.NodeVisitor):
@@ -1456,13 +1460,13 @@ class _TaintScan(ast.NodeVisitor):
             if isinstance(sub, ast.Name) and sub.id in self.tainted:
                 return self.tainted[sub.id]
             if isinstance(sub, ast.Call):
-                target = _dotted(sub.func)
+                target = dotted_name(sub.func)
                 if target is None:
                     continue
-                site = CallSite(target=target, node=sub, awaited=False)
-                source = _source_taint(site, self.fn)
+                source = _TAINT_SOURCES.get(self.fn.module.canonical(target))
                 if source:
                     return source
+                site = CallSite(target=target, node=sub, awaited=False)
                 for callee in self.project.resolve_call(site, self.fn):
                     if callee.qualname in self.tainted_returns:
                         return self.tainted_returns[callee.qualname]
@@ -1502,18 +1506,8 @@ class _TaintScan(ast.NodeVisitor):
     def _track_hash(self, node: ast.Assign) -> None:
         if not isinstance(node.value, ast.Call):
             return
-        dotted = _dotted(node.value.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        module = self.fn.module
-        is_hash = False
-        if len(parts) >= 2 and module.imports.get(parts[0]) == "hashlib":
-            is_hash = parts[-1] in _HASH_CONSTRUCTORS
-        elif len(parts) == 1:
-            imported = module.from_imports.get(parts[0], "")
-            is_hash = imported.startswith("hashlib.")
-        if is_hash:
+        dotted = dotted_name(node.value.func)
+        if dotted is not None and _hash_constructor(self.fn.module, dotted):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.hash_objects.add(target.id)
@@ -1530,39 +1524,22 @@ def _sink_description(
     """Describe the determinism sink at ``site`` (None when not a sink)."""
     parts = site.target.split(".")
     tail = parts[-1]
-    module = fn.module
-    if len(parts) == 1:
-        if tail in config.taint_sink_calls:
-            return f"{tail}()"
-        if tail in config.taint_sink_constructors:
-            return f"{tail}(...) trace context"
-        imported = module.from_imports.get(tail, "")
-        if imported.startswith("hashlib."):
-            return f"digest {tail}()"
-        return None
     if tail in config.taint_sink_calls:
         return f"{tail}()"
-    if module.imports.get(parts[0]) == "hashlib" and tail in _HASH_CONSTRUCTORS:
-        return f"digest hashlib.{tail}()"
+    digest = _hash_constructor(fn.module, site.target)
+    if digest is not None:
+        return f"digest {digest}()"
+    if len(parts) == 1:
+        if tail in config.taint_sink_constructors:
+            return f"{tail}(...) trace context"
+        return None
     if tail == "update" and parts[0] in scan.hash_objects and len(parts) == 2:
         return f"digest {parts[0]}.update()"
     if tail in config.taint_sink_methods:
-        receiver = fn.module and None
-        del receiver
-        recv = None
-        if len(parts) > 1:
-            recv = _receiver_class_name(parts[:-1], fn, scan)
-        if recv is None or recv in config.taint_sink_method_classes:
+        receiver = scan.project.receiver_type(parts[:-1], fn)
+        if receiver is None or receiver.name in config.taint_sink_method_classes:
             return f"telemetry {site.target}()"
     return None
-
-
-def _receiver_class_name(
-    chain: list[str], fn: FunctionInfo, scan: _TaintScan
-) -> Optional[str]:
-    project = scan.project
-    cls = project.receiver_type(chain, fn)
-    return cls.name if cls is not None else None
 
 
 def _check_taint(project: Project, config: AnalyzerConfig) -> list[Finding]:
@@ -1625,7 +1602,7 @@ def _check_taint(project: Project, config: AnalyzerConfig) -> list[Finding]:
 
         class _SinkVisitor(ast.NodeVisitor):
             def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
-                target = _dotted(node.func)
+                target = dotted_name(node.func)
                 if target is not None:
                     site = CallSite(target=target, node=node, awaited=False)
                     sink = _sink_description(site, fn, scan, config)
@@ -1648,7 +1625,7 @@ def _check_taint(project: Project, config: AnalyzerConfig) -> list[Finding]:
             sink_visitor.visit(stmt)
         for site, sink, taint in tainted_sites:
             line = site.node.lineno
-            if {"REP103", "ALL"} & fn.module.suppressed(line):
+            if fn.module.suppressed(line, "REP103"):
                 continue
             findings.append(
                 Finding(
@@ -1742,39 +1719,6 @@ def split_by_baseline(
     for finding in findings:
         (old if finding.fingerprint in baseline else new).append(finding)
     return new, old
-
-
-# -- reporters --------------------------------------------------------------
-
-
-def render_text(
-    findings: Sequence[Finding], baselined: Sequence[Finding] = ()
-) -> str:
-    """GCC-style one-line-per-finding report."""
-    lines = [
-        f"{f.path}:{f.line}:{f.col}: {f.rule_id}"
-        f" [{ANALYZE_RULES[f.rule_id].name}] {f.message}"
-        for f in findings
-    ]
-    lines.append(
-        f"{len(findings)} new finding(s), {len(baselined)} baselined"
-    )
-    return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding], baselined: Sequence[Finding] = ()
-) -> str:
-    """Machine-readable report (used by the CI gate)."""
-    return json.dumps(
-        {
-            "findings": [f.as_dict() for f in findings],
-            "baselined": [f.as_dict() for f in baselined],
-            "count": len(findings),
-            "baselined_count": len(baselined),
-        },
-        indent=2,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -29,6 +29,17 @@ REP007   non-deterministic ID sources (``uuid.*``,              obs, service,
          must derive via :mod:`repro.obs.tracectx`
 =======  =====================================================  ==================
 
+The lint has no parser of its own: each rule runs over the analyzer's
+pass-1 :class:`~repro.check.graph.ModuleInfo`, and every call is
+resolved to its canonical dotted name through the module's import maps
+(``import numpy.random as npr; npr.shuffle(x)`` is
+``numpy.random.shuffle``), so REP001/REP002/REP007 are lookups in the
+canonical-name tables below.  RNG constructors (``random.Random``,
+``numpy.random.default_rng``/``RandomState``/``SeedSequence``) pass
+when given a seed and are REP002 findings without one, because then
+they seed from entropy.  TYP001, the annotation gate behind ``repro
+typecheck``, is one more rule over the same parse.
+
 Files outside the ``repro`` package (fixtures, scripts) are linted with
 *every* rule active.  Any finding can be waived for one line with an
 inline escape hatch::
@@ -43,20 +54,26 @@ Run it as ``repro lint [paths...] --format text|json`` or
 from __future__ import annotations
 
 import ast
-import json
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
+from repro.check.graph import (
+    Finding,
+    ModuleInfo,
+    dotted_name,
+    iter_python_files,
+    render_json,
+    render_text,
+)
 from repro.check.rules import LINT_RULES, RuleInfo
 
 __all__ = [
+    "CHECKS",
     "RULES",
     "FileScope",
-    "LintViolation",
-    "Rule",
     "lint_file",
     "lint_paths",
     "lint_source",
@@ -65,10 +82,6 @@ __all__ = [
     "render_text",
     "scope_for_path",
 ]
-
-#: Backwards-compatible alias; the catalogue now lives in
-#: :mod:`repro.check.rules` so ``--explain`` and the docs share one source.
-Rule = RuleInfo
 
 #: The lint rule catalogue (REP000–REP007), filtered from the registry.
 RULES: dict[str, RuleInfo] = LINT_RULES
@@ -118,19 +131,44 @@ _RANDOM_FUNCS = frozenset(
     }
 )
 
-#: Wall-clock attribute reads on the ``time`` module.
-_TIME_FUNCS = frozenset({"time", "time_ns"})
+#: REP001: wall-clock reads, by canonical name.
+WALL_CLOCK = frozenset(
+    {"time.time", "time.time_ns"}
+    | {
+        f"datetime.{cls}.{func}"
+        for cls in ("datetime", "date")
+        for func in ("now", "utcnow", "today")
+    }
+)
 
-#: Wall-clock constructors on ``datetime``/``date`` classes.
-_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
+#: REP002: draws from the process-global RNGs.  Every callable directly
+#: in ``numpy.random`` counts, so that module is listed whole.
+GLOBAL_RNG = frozenset(f"random.{func}" for func in _RANDOM_FUNCS)
+GLOBAL_RNG_MODULES = frozenset({"numpy.random"})
 
-#: ``uuid`` module callables whose output is machine/time/entropy bound.
-_UUID_FUNCS = frozenset({"uuid1", "uuid3", "uuid4", "uuid5", "getnode"})
+#: REP002: RNG constructors, clean with a seed and flagged without one.
+SEEDED_RNG = frozenset(
+    {
+        "random.Random",
+        "numpy.random.default_rng",
+        "numpy.random.RandomState",
+        "numpy.random.SeedSequence",
+    }
+)
+
+#: REP007: machine/time/entropy-bound ID sources (all of ``secrets``).
+ID_SOURCES = frozenset(
+    {f"uuid.{func}" for func in ("uuid1", "uuid3", "uuid4", "uuid5", "getnode")}
+    | {"os.urandom"}
+)
+ID_SOURCE_MODULES = frozenset({"secrets"})
 
 #: Identifier fragments that mark a value as a priority/score (REP005).
 _PRIORITY_NAME = re.compile(r"prio|score", re.IGNORECASE)
 
-_DISABLE_COMMENT = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
+#: Calls producing integral values; operands wrapped in these are
+#: index/count comparisons, not float score comparisons (REP005).
+_INTEGRAL_CALLS = frozenset({"int", "len", "round", "argmax", "argmin", "index", "count"})
 
 
 @dataclass(frozen=True)
@@ -148,28 +186,6 @@ FULL_SCOPE = FileScope(clocked=True, library=True, traced=True)
 #: Scope for entry-point scripts (examples/, benchmarks/): hygiene rules
 #: only — they print to stdout and run in real time by design.
 SCRIPT_SCOPE = FileScope(clocked=False, library=False, traced=False)
-
-
-@dataclass(frozen=True)
-class LintViolation:
-    """One finding: file, position, rule and message."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    message: str
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready representation (stable keys)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "name": RULES[self.rule_id].name,
-            "message": self.message,
-        }
 
 
 def scope_for_path(path: Path) -> FileScope:
@@ -194,361 +210,228 @@ def scope_for_path(path: Path) -> FileScope:
     return FileScope(clocked=clocked, library=library, traced=traced)
 
 
-class _Collector(ast.NodeVisitor):
-    """Single AST pass producing raw (unsuppressed) violations."""
+#: What a rule yields for one module: the node to report and a message.
+_Hits = Iterator[tuple[ast.AST, str]]
 
-    def __init__(self, path: str, scope: FileScope) -> None:
-        self.path = path
-        self.scope = scope
-        self.violations: list[LintViolation] = []
-        #: local names bound to the ``time`` / ``random`` / ``numpy`` /
-        #: ``datetime`` modules, e.g. ``{"time", "_time"}``.
-        self._time_mods: set[str] = set()
-        self._random_mods: set[str] = set()
-        self._numpy_mods: set[str] = set()
-        self._datetime_mods: set[str] = set()
-        #: local names bound to ``time.time`` / wall-clock callables via
-        #: ``from x import y [as z]``.
-        self._time_funcs: set[str] = set()
-        self._random_funcs: set[str] = set()
-        #: local names bound to the ``datetime``/``date`` classes.
-        self._datetime_classes: set[str] = set()
-        #: REP007: names bound to the ``uuid``/``secrets``/``os`` modules
-        #: and to their entropy-backed callables.
-        self._uuid_mods: set[str] = set()
-        self._secrets_mods: set[str] = set()
-        self._os_mods: set[str] = set()
-        self._id_funcs: set[str] = set()
 
-    # -- imports -----------------------------------------------------------
+def _calls(module: ModuleInfo) -> Iterator[tuple[ast.Call, str, str]]:
+    """Every call with a static callee: (node, name as written, canonical name)."""
+    for node in module.nodes:
+        if isinstance(node, ast.Call):
+            text = dotted_name(node.func)
+            if text is not None:
+                yield node, text, module.canonical(text)
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "time":
-                self._time_mods.add(bound)
-            elif alias.name == "random":
-                self._random_mods.add(bound)
-            elif alias.name == "datetime":
-                self._datetime_mods.add(bound)
-            elif alias.name in ("numpy", "numpy.random"):
-                self._numpy_mods.add(bound)
-            elif alias.name == "uuid":
-                self._uuid_mods.add(bound)
-            elif alias.name == "secrets":
-                self._secrets_mods.add(bound)
-            elif alias.name == "os":
-                self._os_mods.add(bound)
-        self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name
-            if node.module == "time" and alias.name in _TIME_FUNCS:
-                self._time_funcs.add(bound)
-            elif node.module == "random" and alias.name in _RANDOM_FUNCS:
-                self._random_funcs.add(bound)
-            elif node.module == "datetime" and alias.name in ("datetime", "date"):
-                self._datetime_classes.add(bound)
-            elif node.module == "uuid" and alias.name in _UUID_FUNCS:
-                self._id_funcs.add(bound)
-            elif node.module == "secrets":
-                self._id_funcs.add(bound)
-            elif node.module == "os" and alias.name == "urandom":
-                self._id_funcs.add(bound)
-        self.generic_visit(node)
+def _in_table(name: str, names: frozenset[str], modules: frozenset[str]) -> bool:
+    return name in names or name.rpartition(".")[0] in modules
 
-    # -- helpers -----------------------------------------------------------
 
-    def _report(self, node: ast.AST, rule_id: str, message: str) -> None:
-        self.violations.append(
-            LintViolation(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                rule_id=rule_id,
-                message=message,
-            )
-        )
+def _wall_clock(module: ModuleInfo, scope: FileScope) -> _Hits:
+    if scope.clocked:
+        for node, text, name in _calls(module):
+            if name in WALL_CLOCK:
+                yield node, f"wall-clock call {text}()"
 
-    def _check_call(self, node: ast.Call) -> None:
-        func = node.func
-        # REP006 -- print() in library code.
-        if (
-            self.scope.library
-            and isinstance(func, ast.Name)
-            and func.id == "print"
-        ):
-            self._report(node, "REP006", "print() call in library code")
-        # REP007 -- non-deterministic ID sources in traced packages.
-        if self.scope.traced:
-            if isinstance(func, ast.Name) and func.id in self._id_funcs:
-                self._report(
-                    node, "REP007", f"non-deterministic ID source {func.id}()"
-                )
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                base_id, attr = func.value.id, func.attr
-                if (
-                    (base_id in self._uuid_mods and attr in _UUID_FUNCS)
-                    or base_id in self._secrets_mods
-                    or (base_id in self._os_mods and attr == "urandom")
-                ):
-                    self._report(
-                        node,
-                        "REP007",
-                        f"non-deterministic ID source {base_id}.{attr}()",
-                    )
-        if not self.scope.clocked:
-            return
-        # REP001 -- wall-clock reads.
-        if isinstance(func, ast.Name) and func.id in self._time_funcs:
-            self._report(node, "REP001", f"wall-clock call {func.id}()")
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in self._time_mods
-                and func.attr in _TIME_FUNCS
-            ):
-                self._report(node, "REP001", f"wall-clock call {base.id}.{func.attr}()")
-            if (
-                isinstance(base, ast.Name)
-                and base.id in self._datetime_classes
-                and func.attr in _DATETIME_FUNCS
-            ):
-                self._report(node, "REP001", f"wall-clock call {base.id}.{func.attr}()")
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id in self._datetime_mods
-                and base.attr in ("datetime", "date")
-                and func.attr in _DATETIME_FUNCS
-            ):
-                self._report(
-                    node,
-                    "REP001",
-                    f"wall-clock call {base.value.id}.{base.attr}.{func.attr}()",
-                )
-        # REP002 -- global RNG draws.
-        if isinstance(func, ast.Name) and func.id in self._random_funcs:
-            self._report(node, "REP002", f"global RNG call {func.id}()")
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if (
-                func.value.id in self._random_mods
-                and func.attr in _RANDOM_FUNCS
-            ):
-                self._report(
-                    node, "REP002", f"global RNG call {func.value.id}.{func.attr}()"
-                )
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id in self._numpy_mods
-            and func.value.attr == "random"
-        ):
-            self._report(
-                node,
-                "REP002",
-                f"global NumPy RNG call {func.value.value.id}.random.{func.attr}()",
-            )
 
-    def visit_Call(self, node: ast.Call) -> None:
-        self._check_call(node)
-        self.generic_visit(node)
+def _global_rng(module: ModuleInfo, scope: FileScope) -> _Hits:
+    if not scope.clocked:
+        return
+    for node, text, name in _calls(module):
+        if name in SEEDED_RNG:
+            seeds = [*node.args, *(kw.value for kw in node.keywords)]
+            if all(isinstance(s, ast.Constant) and s.value is None for s in seeds):
+                yield node, f"unseeded RNG {text}() seeds from entropy"
+        elif _in_table(name, GLOBAL_RNG, GLOBAL_RNG_MODULES):
+            kind = "NumPy RNG" if name.startswith("numpy.") else "RNG"
+            yield node, f"global {kind} call {text}()"
 
-    # -- REP003: mutable defaults ------------------------------------------
 
-    def _check_defaults(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-    ) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if self._is_mutable_literal(default):
-                name = getattr(node, "name", "<lambda>")
-                self._report(
-                    default,
-                    "REP003",
-                    f"mutable default argument in {name}()",
-                )
+def _mutable_default(module: ModuleInfo, scope: FileScope) -> _Hits:
+    for node in module.nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for default in [*args.defaults, *args.kw_defaults]:
+                if default is not None and _is_mutable_literal(default):
+                    name = getattr(node, "name", "<lambda>")
+                    yield default, f"mutable default argument in {name}()"
 
-    @staticmethod
-    def _is_mutable_literal(node: ast.expr) -> bool:
-        if isinstance(
-            node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-        ):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "dict", "set", "bytearray")
-        )
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+def _is_mutable_literal(node: ast.expr) -> bool:
+    if isinstance(
+        node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    ):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("list", "dict", "set", "bytearray")
+    )
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
 
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+def _bare_except(module: ModuleInfo, scope: FileScope) -> _Hits:
+    for node in module.nodes:
+        if isinstance(node, ast.ExceptHandler) and node.type is None:
+            yield node, "bare except: catches SystemExit too"
 
-    # -- REP004: bare except -----------------------------------------------
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._report(node, "REP004", "bare except: catches SystemExit too")
-        self.generic_visit(node)
-
-    # -- REP005: float == on priority/score values --------------------------
-
-    def visit_Compare(self, node: ast.Compare) -> None:
+def _float_priority_eq(module: ModuleInfo, scope: FileScope) -> _Hits:
+    for node in module.nodes:
+        if not isinstance(node, ast.Compare):
+            continue
         operands = [node.left, *node.comparators]
-        has_eq = any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-        if has_eq and not self._has_guard_constant(operands):
-            for operand in operands:
-                name = self._priority_identifier(operand)
-                if name is not None:
-                    self._report(
-                        node,
-                        "REP005",
-                        f"float equality on priority/score value {name!r}",
-                    )
-                    break
-        self.generic_visit(node)
-
-    @staticmethod
-    def _has_guard_constant(operands: list[ast.expr]) -> bool:
-        """String/None comparisons are identity-ish, not float equality."""
-        return any(
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        # String/None comparisons are identity-ish, not float equality.
+        if any(
             isinstance(op, ast.Constant) and (op.value is None or isinstance(op.value, str))
             for op in operands
-        )
-
-    #: Calls producing integral values; operands wrapped in these are
-    #: index/count comparisons, not float score comparisons.
-    _INTEGRAL_CALLS = frozenset({"int", "len", "round", "argmax", "argmin", "index", "count"})
-
-    @classmethod
-    def _priority_identifier(cls, operand: ast.expr) -> Optional[str]:
-        if isinstance(operand, ast.Call):
-            func = operand.func
-            func_name = (
-                func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            )
-            if func_name in cls._INTEGRAL_CALLS:
-                return None
-        for sub in ast.walk(operand):
-            if isinstance(sub, ast.Name) and _PRIORITY_NAME.search(sub.id):
-                return sub.id
-            if isinstance(sub, ast.Attribute) and _PRIORITY_NAME.search(sub.attr):
-                return sub.attr
-        return None
+        ):
+            continue
+        for operand in operands:
+            name = _priority_identifier(operand)
+            if name is not None:
+                yield node, f"float equality on priority/score value {name!r}"
+                break
 
 
-def _suppressed_rules(line: str) -> frozenset[str]:
-    """Rule ids waived by a ``# repro-lint: disable=...`` comment."""
-    match = _DISABLE_COMMENT.search(line)
-    if not match:
-        return frozenset()
-    tokens = {tok.strip().upper() for tok in match.group(1).split(",") if tok.strip()}
-    return frozenset(tokens)
+def _priority_identifier(operand: ast.expr) -> Optional[str]:
+    if isinstance(operand, ast.Call):
+        func = operand.func
+        func_name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if func_name in _INTEGRAL_CALLS:
+            return None
+    for sub in ast.walk(operand):
+        if isinstance(sub, ast.Name) and _PRIORITY_NAME.search(sub.id):
+            return sub.id
+        if isinstance(sub, ast.Attribute) and _PRIORITY_NAME.search(sub.attr):
+            return sub.attr
+    return None
+
+
+def _print_in_library(module: ModuleInfo, scope: FileScope) -> _Hits:
+    if scope.library:
+        for node in module.nodes:
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+            ):
+                yield node, "print() call in library code"
+
+
+def _nondeterministic_id(module: ModuleInfo, scope: FileScope) -> _Hits:
+    if scope.traced:
+        for node, text, name in _calls(module):
+            if _in_table(name, ID_SOURCES, ID_SOURCE_MODULES):
+                yield node, f"non-deterministic ID source {text}()"
+
+
+def _missing_annotations(module: ModuleInfo, scope: FileScope) -> _Hits:
+    """TYP001: every parameter and the return value annotated."""
+    for node in module.nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        # ``self``/``cls`` never need annotations (mypy infers them).
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        missing = [
+            f"annotation for {arg.arg!r}"
+            for arg in [*positional, *args.kwonlyargs]
+            if arg.annotation is None
+        ]
+        missing += [
+            f"annotation for {stars + star.arg!r}"
+            for stars, star in (("*", args.vararg), ("**", args.kwarg))
+            if star is not None and star.annotation is None
+        ]
+        if node.returns is None:
+            missing.append("return annotation")
+        if missing:
+            yield node, f"{node.name}() missing {', '.join(missing)}"
+
+
+#: Rule id -> the check that runs it over one parsed module.  REP000 is
+#: the parse itself (see :func:`lint_source`).
+CHECKS: dict[str, Callable[[ModuleInfo, FileScope], _Hits]] = {
+    "REP001": _wall_clock,
+    "REP002": _global_rng,
+    "REP003": _mutable_default,
+    "REP004": _bare_except,
+    "REP005": _float_priority_eq,
+    "REP006": _print_in_library,
+    "REP007": _nondeterministic_id,
+    "TYP001": _missing_annotations,
+}
 
 
 def lint_source(
     source: str,
     path: str | Path = "<string>",
     scope: Optional[FileScope] = None,
-) -> list[LintViolation]:
+    select: Collection[str] = RULES,
+) -> list[Finding]:
     """Lint one source string; ``scope`` defaults from ``path``."""
     if scope is None:
         scope = scope_for_path(Path(path)) if path != "<string>" else FULL_SCOPE
-    name = str(path)
     try:
-        tree = ast.parse(source, filename=name)
+        module = ModuleInfo.parse(source, Path(path), Path(path).stem)
     except SyntaxError as exc:
+        if "REP000" not in select:
+            return []
         return [
-            LintViolation(
-                path=name,
+            Finding(
+                path=str(path),
                 line=exc.lineno or 1,
                 col=exc.offset or 0,
                 rule_id="REP000",
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    collector = _Collector(name, scope)
-    collector.visit(tree)
-    lines = source.splitlines()
-    kept: list[LintViolation] = []
-    for violation in sorted(collector.violations, key=lambda v: (v.line, v.col, v.rule_id)):
-        text = lines[violation.line - 1] if 0 < violation.line <= len(lines) else ""
-        waived = _suppressed_rules(text)
-        if "ALL" in waived or violation.rule_id in waived:
-            continue
-        kept.append(violation)
-    return kept
+    findings = [
+        Finding(
+            path=str(path),
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            rule_id=rule_id,
+            message=message,
+        )
+        for rule_id, check in CHECKS.items()
+        if rule_id in select
+        for node, message in check(module, scope)
+    ]
+    return sorted(
+        (f for f in findings if not module.suppressed(f.line, f.rule_id, "repro-lint")),
+        key=lambda f: (f.line, f.col, f.rule_id),
+    )
 
 
-def lint_file(path: str | Path) -> list[LintViolation]:
+def lint_file(path: str | Path, select: Collection[str] = RULES) -> list[Finding]:
     """Lint one file on disk."""
     file_path = Path(path)
-    return lint_source(file_path.read_text(encoding="utf-8"), file_path)
-
-
-def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: set[Path] = set()
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            out.update(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            out.add(p)
-    return sorted(out)
+    return lint_source(file_path.read_text(encoding="utf-8"), file_path, select=select)
 
 
 def lint_paths(
-    paths: Iterable[str | Path], exclude: Sequence[str] = ()
-) -> list[LintViolation]:
+    paths: Iterable[str | Path],
+    exclude: Sequence[str] = (),
+    select: Collection[str] = RULES,
+) -> list[Finding]:
     """Lint every ``.py`` file under the given files/directories.
 
     ``exclude`` drops files whose POSIX path contains any fragment
     (e.g. ``("tests/fixtures",)`` skips the intentionally-violating
-    fixture catalogues).
+    fixture catalogues); ``select`` restricts the rules that run.
     """
-    violations: list[LintViolation] = []
+    findings: list[Finding] = []
     for file_path in iter_python_files(paths):
         posix = file_path.as_posix()
         if any(fragment and fragment in posix for fragment in exclude):
             continue
-        violations.extend(lint_file(file_path))
-    return violations
-
-
-def render_text(violations: Sequence[LintViolation]) -> str:
-    """GCC-style one-line-per-finding report."""
-    lines = [
-        f"{v.path}:{v.line}:{v.col}: {v.rule_id} [{RULES[v.rule_id].name}] {v.message}"
-        for v in violations
-    ]
-    lines.append(f"{len(violations)} violation(s)")
-    return "\n".join(lines)
-
-
-def render_json(violations: Sequence[LintViolation]) -> str:
-    """Machine-readable report (used by the CI gate)."""
-    return json.dumps(
-        {
-            "violations": [v.as_dict() for v in violations],
-            "count": len(violations),
-        },
-        indent=2,
-    )
+        findings.extend(lint_file(file_path, select))
+    return findings
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -592,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for fragment in entry.split(",")
         if fragment.strip()
     ]
-    violations = lint_paths(args.paths or ["src"], exclude=exclude)
+    selected: Collection[str] = RULES
     if args.select:
         selected = {
             tok.strip().upper() for tok in args.select.split(",") if tok.strip()
@@ -600,7 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         unknown = selected - set(RULES)
         if unknown:
             parser.error(f"unknown rule id(s) in --select: {sorted(unknown)}")
-        violations = [v for v in violations if v.rule_id in selected]
+    violations = lint_paths(args.paths or ["src"], exclude=exclude, select=selected)
     renderer = render_json if args.format == "json" else render_text
     print(renderer(violations))  # repro-lint: disable=REP006
     return 1 if violations else 0

@@ -6,11 +6,13 @@ Two layers, so the gate is enforceable everywhere:
   configuration in ``pyproject.toml`` -- strict on ``repro.core``,
   ``repro.cluster`` and ``repro.check``, permissive elsewhere.  This is
   what CI runs; lint/type failures block the build.
-* **AST annotation gate** (always available): a dependency-free check
-  that every function in the strict packages carries complete parameter
-  and return annotations.  It covers the load-bearing half of mypy's
-  ``disallow_untyped_defs``/``disallow_incomplete_defs`` so local
-  environments without mypy still enforce the contract.
+* **AST annotation gate** (when mypy is not installed): TYP001, a
+  dependency-free rule that every function in the strict packages
+  carries complete parameter and return annotations.  It covers the
+  load-bearing half of mypy's ``disallow_untyped_defs``/
+  ``disallow_incomplete_defs`` so local environments without mypy still
+  enforce the contract.  It is one more rule of :mod:`repro.check.lint`,
+  run over the same parse.
 
 Waive a single definition with the same escape hatch the lint uses::
 
@@ -20,18 +22,16 @@ Waive a single definition with the same escape hatch the lint uses::
 
 from __future__ import annotations
 
-import ast
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.check.lint import _suppressed_rules, iter_python_files
+from repro.check.graph import Finding
+from repro.check.lint import lint_paths
 
 __all__ = [
     "STRICT_PACKAGES",
-    "AnnotationGap",
     "check_annotations",
     "main",
     "mypy_available",
@@ -42,66 +42,10 @@ __all__ = [
 #: Entries may name a package directory or a single module file.
 STRICT_PACKAGES = ("core", "cluster", "check", "exp", "api.py")
 
-#: Rule id used by the annotation gate (suppressible like lint rules).
-RULE_ID = "TYP001"
 
-
-@dataclass(frozen=True)
-class AnnotationGap:
-    """One incompletely annotated function definition."""
-
-    path: str
-    line: int
-    function: str
-    missing: tuple[str, ...]
-
-    def __str__(self) -> str:
-        what = ", ".join(self.missing)
-        return f"{self.path}:{self.line}: {RULE_ID} {self.function}() missing {what}"
-
-
-def _definition_gaps(
-    node: ast.FunctionDef | ast.AsyncFunctionDef, path: str
-) -> Optional[AnnotationGap]:
-    missing: list[str] = []
-    args = node.args
-    positional = list(args.posonlyargs) + list(args.args)
-    # ``self``/``cls`` never need annotations (mypy infers them).
-    if positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    for arg in positional + list(args.kwonlyargs):
-        if arg.annotation is None:
-            missing.append(f"annotation for {arg.arg!r}")
-    for star in (args.vararg, args.kwarg):
-        if star is not None and star.annotation is None:
-            missing.append(f"annotation for {'*' + star.arg!r}")
-    if node.returns is None:
-        missing.append("return annotation")
-    if not missing:
-        return None
-    return AnnotationGap(
-        path=path, line=node.lineno, function=node.name, missing=tuple(missing)
-    )
-
-
-def check_annotations(paths: Sequence[str | Path]) -> list[AnnotationGap]:
-    """Report functions with missing annotations under the given paths."""
-    gaps: list[AnnotationGap] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        lines = source.splitlines()
-        tree = ast.parse(source, filename=str(file_path))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                gap = _definition_gaps(node, str(file_path))
-                if gap is None:
-                    continue
-                text = lines[gap.line - 1] if 0 < gap.line <= len(lines) else ""
-                waived = _suppressed_rules(text)
-                if "ALL" in waived or RULE_ID in waived:
-                    continue
-                gaps.append(gap)
-    return sorted(gaps, key=lambda g: (g.path, g.line))
+def check_annotations(paths: Sequence[str | Path]) -> list[Finding]:
+    """TYP001 findings under ``paths`` (REP000 for files that do not parse)."""
+    return lint_paths(paths, select=("REP000", "TYP001"))
 
 
 def strict_paths(src_root: str | Path = "src") -> list[Path]:
@@ -133,8 +77,8 @@ def run_mypy(src_root: str | Path = "src") -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro typecheck``.
 
-    Prefers real mypy; falls back to the AST annotation gate with a
-    note when mypy is not installed.  Exit status 1 on findings.
+    Runs real mypy when installed, else the TYP001 annotation gate.
+    Exit status 1 on findings.
     """
     import argparse
 
@@ -144,19 +88,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--src", default="src", help="source root containing the repro package"
     )
-    parser.add_argument(
-        "--no-mypy",
-        action="store_true",
-        help="skip mypy even when installed (annotation gate only)",
-    )
     args = parser.parse_args(argv)
-    if not args.no_mypy and mypy_available():
+    if mypy_available():
         return run_mypy(args.src)
     gaps = check_annotations(strict_paths(args.src))
     for gap in gaps:
-        print(gap)  # repro-lint: disable=REP006
-    note = "" if mypy_available() else " (mypy not installed; AST annotation gate)"
-    print(f"{len(gaps)} annotation gap(s){note}")  # repro-lint: disable=REP006
+        line = f"{gap.path}:{gap.line}: {gap.rule_id} {gap.message}"
+        print(line)  # repro-lint: disable=REP006
+    print(  # repro-lint: disable=REP006
+        f"{len(gaps)} annotation gap(s) (mypy not installed; AST annotation gate)"
+    )
     return 1 if gaps else 0
 
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
+import importlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -69,6 +70,24 @@ from repro.sim import EngineConfig, SimulationSetup, run_comparison, run_simulat
 from repro.workload import generate_trace, read_trace, write_trace
 
 __all__ = ["SCHEDULER_FACTORIES", "scheduler_by_name", "build_parser", "main"]
+
+
+#: Commands run by a ``repro.check`` tool: name -> (module, help line).
+CHECK_TOOLS = {
+    "lint": (
+        "repro.check.lint",
+        "repo-specific determinism/hygiene lint (repro.check.lint)",
+    ),
+    "analyze": (
+        "repro.check.graph",
+        "whole-program analyzer: async-safety, protocol drift, snapshot"
+        " picklability, determinism taint (repro.check.graph)",
+    ),
+    "typecheck": (
+        "repro.check.typing_gate",
+        "strict-typing gate (mypy, or the TYP001 annotation fallback)",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,56 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
 
-    p_lint = sub.add_parser(
-        "lint", help="repo-specific determinism/hygiene lint (repro.check.lint)"
-    )
-    p_lint.add_argument("paths", nargs="*", default=["src"])
-    p_lint.add_argument("--format", choices=["text", "json"], default="text")
-    p_lint.add_argument(
-        "--select",
-        default=None,
-        metavar="REPxxx,...",
-        help="comma-separated rule ids to enforce (default: all)",
-    )
-    p_lint.add_argument(
-        "--exclude",
-        action="append",
-        default=[],
-        metavar="FRAGMENT",
-        help="skip files whose path contains FRAGMENT (repeatable)",
-    )
-    p_lint.add_argument(
-        "--explain",
-        metavar="REPxxx",
-        default=None,
-        help="print one rule's rationale/scope/disable syntax and exit",
-    )
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="whole-program analyzer: async-safety, protocol drift,"
-        " snapshot picklability, determinism taint (repro.check.graph)",
-    )
-    p_analyze.add_argument("paths", nargs="*", default=["src"])
-    p_analyze.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    p_analyze.add_argument("--baseline", default=None)
-    p_analyze.add_argument("--no-baseline", action="store_true")
-    p_analyze.add_argument("--write-baseline", action="store_true")
-    p_analyze.add_argument("--out", default=None)
-    p_analyze.add_argument(
-        "--explain",
-        metavar="REPxxx",
-        default=None,
-        help="print one rule's rationale/scope/disable syntax and exit",
-    )
-
-    p_type = sub.add_parser(
-        "typecheck", help="strict-typing gate (mypy, or the AST annotation fallback)"
-    )
-    p_type.add_argument("--src", default="src")
-    p_type.add_argument("--no-mypy", action="store_true")
+    # The correctness tools own their flags: main() forwards the rest of
+    # the command line to their main(), so `repro lint --help` is theirs.
+    for name, (_, summary) in CHECK_TOOLS.items():
+        sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
@@ -966,50 +939,12 @@ def cmd_sweep(args) -> int:
     return 2 if stats["failed"] else 0
 
 
-def cmd_lint(args) -> int:
-    """Run the repo-specific lint over the given paths."""
-    from repro.check import lint
-
-    argv = [*args.paths, "--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    for fragment in args.exclude:
-        argv += ["--exclude", fragment]
-    if args.explain:
-        argv += ["--explain", args.explain]
-    return lint.main(argv)
-
-
-def cmd_analyze(args) -> int:
-    """Run the whole-program analyzer over the given paths."""
-    from repro.check import graph
-
-    argv = [*args.paths, "--format", args.format]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.out:
-        argv += ["--out", args.out]
-    if args.explain:
-        argv += ["--explain", args.explain]
-    return graph.main(argv)
-
-
-def cmd_typecheck(args) -> int:
-    """Run the strict-typing gate."""
-    from repro.check import typing_gate
-
-    argv = ["--src", args.src]
-    if args.no_mypy:
-        argv.append("--no-mypy")
-    return typing_gate.main(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in CHECK_TOOLS:
+        module = importlib.import_module(CHECK_TOOLS[argv[0]][0])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
         "trace": cmd_trace,
@@ -1023,9 +958,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "top": cmd_top,
         "report": cmd_report,
         "sweep": cmd_sweep,
-        "lint": cmd_lint,
-        "analyze": cmd_analyze,
-        "typecheck": cmd_typecheck,
     }
     return handlers[args.command](args)
 

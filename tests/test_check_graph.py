@@ -15,6 +15,7 @@ import pytest
 from repro.check.graph import (
     BASELINE_FILENAME,
     Finding,
+    ModuleInfo,
     Project,
     analyze_paths,
     load_baseline,
@@ -67,6 +68,27 @@ class TestProgramGraph:
         assert "_handle" in svc.pickle_excluded
 
 
+class TestCanonicalNames:
+    """The one resolver behind the lint and the analyzer."""
+
+    @pytest.mark.parametrize(
+        "source, call, canonical",
+        [
+            ("import numpy.random as npr\n", "npr.shuffle", "numpy.random.shuffle"),
+            ("from numpy import random as npr\n", "npr.rand", "numpy.random.rand"),
+            ("from numpy.random import rand\n", "rand", "numpy.random.rand"),
+            ("from time import time as t\n", "t", "time.time"),
+            ("def f():\n    pass\n\nimport time\n", "time.time", "time.time"),
+            ("import os.path\n", "os.system", "os.system"),
+            ("import numpy as np\n", "np.random.rand", "numpy.random.rand"),
+            ("", "print", "print"),
+        ],
+    )
+    def test_resolves_through_imports(self, source, call, canonical):
+        module = ModuleInfo.parse(source, Path("m.py"), "m")
+        assert module.canonical(call) == canonical
+
+
 class TestRep100AsyncSafety:
     def test_direct_blocking_call_flags(self, findings):
         hits = by_rule(findings, "REP100")
@@ -92,6 +114,20 @@ class TestRep100AsyncSafety:
 
     def test_fixture_count(self, findings):
         assert len(by_rule(findings, "REP100")) == 3
+
+    def test_submodule_import_keeps_the_package_name(self, tmp_path):
+        # ``import os.path`` binds ``os``: ``os.system`` stays ``os.system``.
+        service = tmp_path / "pkg" / "service"
+        service.mkdir(parents=True)
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        (service / "__init__.py").write_text("")
+        (service / "handler.py").write_text(
+            "import os.path\n\n\nasync def handle():\n    os.system('true')\n"
+        )
+        hits = by_rule(analyze_paths([tmp_path / "pkg"]), "REP100")
+        assert [f.message for f in hits] == [
+            "os.system() on the event loop, reachable from async handle()"
+        ]
 
 
 class TestRep101ProtocolDrift:

@@ -22,9 +22,9 @@ them, built from five modules:
   parse.  On top of it the analyzer builds a symbol table, import graph
   and call graph and checks cross-module invariants no per-file pass
   can see -- blocking calls reachable from event-loop coroutines
-  (REP100), wire-protocol verb drift (REP101), unpicklable state
-  reachable from snapshot roots (REP102), and wall-clock/entropy taint
-  flowing into digests, telemetry or trace ids (REP103).  Reports as
+  (REP100), unpicklable state reachable from snapshot roots (REP102),
+  and wall-clock/entropy taint flowing into digests, telemetry or
+  trace ids (REP103).  Reports as
   text, JSON or SARIF 2.1.0 (:mod:`repro.check.sarif`) with baseline
   suppression.
 * The runtime invariant sanitizer (:mod:`repro.check.sanitize`), opt-in

@@ -31,10 +31,6 @@ Pass 2 — graph rule families
              socket/file/subprocess ops, ``Future.result()``) reachable
              from any ``async def`` in ``service/``/``gateway/``,
              transitively through the call graph.
-    REP101   protocol drift: ``VERBS`` in ``service/protocol.py`` vs.
-             the daemon/gateway dispatchers vs. every issuing site in
-             the client and CLI — unhandled, undeclared, unissued and
-             parameter-mismatched verbs all flag.
     REP102   snapshot picklability: the type graph reachable from the
              snapshot roots must not hold locks, sockets, open files,
              generators, executors or contextvar tokens, unless the
@@ -82,6 +78,7 @@ __all__ = [
     "iter_python_files",
     "load_baseline",
     "main",
+    "require_paths",
     "render_json",
     "render_text",
     "write_baseline",
@@ -119,18 +116,6 @@ class AnalyzerConfig:
     #: Package path components whose ``async def``s are event-loop
     #: coroutines (REP100 roots).
     async_packages: tuple[str, ...] = ("service", "gateway")
-    #: Module (suffix) declaring the ``VERBS`` frozenset.
-    protocol_module: str = "service.protocol"
-    #: Modules (suffixes) dispatching verbs via ``request.op == "..."``.
-    handler_modules: tuple[str, ...] = ("service.daemon", "gateway.server")
-    #: Modules (suffixes) issuing verbs (``.call("...")`` /
-    #: ``{"op": "..."}`` request bodies).
-    issuer_modules: tuple[str, ...] = (
-        "service.client",
-        "gateway.server",
-        "gateway.loadgen",
-        "cli",
-    )
     #: Class qualname suffixes whose instances are pickled whole for
     #: crash-safe snapshots (REP102 roots).
     snapshot_roots: tuple[str, ...] = (
@@ -249,6 +234,14 @@ def render_json(
 # ---------------------------------------------------------------------------
 
 
+def require_paths(prog: str, paths: Iterable[str | Path]) -> None:
+    """Exit 2 with one line naming the first input path that does not exist."""
+    for entry in paths:
+        if not Path(entry).exists():
+            sys.stderr.write(f"{prog}: error: no such file or directory: {entry}\n")
+            raise SystemExit(2)
+
+
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     out: set[Path] = set()
@@ -320,6 +313,10 @@ class FunctionInfo:
     calls: list[CallSite] = field(default_factory=list)
     #: local name -> class-name inferred from annotations/constructors.
     local_types: dict[str, str] = field(default_factory=dict)
+    #: The function this one is nested in (``None`` at module/class level).
+    parent: Optional["FunctionInfo"] = None
+    #: ``def``s nested directly in this function, by name.
+    nested: dict[str, "FunctionInfo"] = field(default_factory=dict)
 
     @property
     def is_async(self) -> bool:
@@ -327,9 +324,17 @@ class FunctionInfo:
 
     @property
     def display(self) -> str:
-        if self.class_name:
-            return f"{self.class_name}.{self.name}"
-        return self.name
+        owner = self.parent.display if self.parent else self.class_name
+        return f"{owner}.{self.name}" if owner else self.name
+
+    def local_def(self, name: str) -> Optional["FunctionInfo"]:
+        """The nested ``def`` a bare call ``name()`` here binds to."""
+        scope: Optional[FunctionInfo] = self
+        while scope is not None:
+            if name in scope.nested:
+                return scope.nested[name]
+            scope = scope.parent
+        return None
 
 
 @dataclass
@@ -440,12 +445,17 @@ class _FunctionCollector(ast.NodeVisitor):
 
     def __init__(self, info: FunctionInfo) -> None:
         self.info = info
+        #: Nested ``def``s, indexed as functions of their own.
+        self.nested: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # nested defs are indexed separately
+        self.nested.append(node)
 
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-    visit_Lambda = visit_FunctionDef  # type: ignore[assignment]
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        self.nested.append(node)
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        pass
 
     def visit_Await(self, node: ast.Await) -> None:
         if isinstance(node.value, ast.Call):
@@ -580,14 +590,22 @@ class Project:
         module: ModuleInfo,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         class_info: Optional[ClassInfo],
+        parent: Optional[FunctionInfo] = None,
     ) -> FunctionInfo:
-        scope = f"{class_info.name}." if class_info else ""
+        if parent is not None:
+            qualname = f"{parent.qualname}.{node.name}"
+        else:
+            scope = f"{class_info.name}." if class_info else ""
+            qualname = f"{module.name}.{scope}{node.name}"
         info = FunctionInfo(
-            qualname=f"{module.name}.{scope}{node.name}",
+            qualname=qualname,
             module=module,
             name=node.name,
             node=node,
             class_name=class_info.name if class_info else None,
+            parent=parent,
+            # A closure sees the enclosing function's typed locals.
+            local_types=dict(parent.local_types) if parent else {},
         )
         # Parameter annotations seed local type inference.
         args = node.args
@@ -599,6 +617,10 @@ class Project:
         for stmt in node.body:
             collector.visit(stmt)
         self.functions[info.qualname] = info
+        for nested in collector.nested:
+            info.nested[nested.name] = self._add_function(
+                module, nested, class_info, parent=info
+            )
         return info
 
     def _collect_attr_assigns(self, info: ClassInfo) -> None:
@@ -768,6 +790,9 @@ class Project:
         canonical = module.canonical(site.target)
         if len(parts) == 1:
             name = parts[0]
+            local = fn.local_def(name)
+            if local is not None:
+                return [local]
             qual = f"{module.name}.{name}"
             if qual in self.functions:
                 return [self.functions[qual]]
@@ -949,311 +974,6 @@ def _check_async_safety(project: Project, config: AnalyzerConfig) -> list[Findin
                 for callee in project.resolve_call(site, fn):
                     if callee.qualname not in visited:
                         stack.append((callee, chain + (callee.display,)))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# REP101: protocol exhaustiveness / drift
-# ---------------------------------------------------------------------------
-
-
-def _declared_verbs(module: ModuleInfo) -> tuple[Optional[ast.AST], set[str]]:
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "VERBS":
-                    verbs = {
-                        sub.value
-                        for sub in ast.walk(node.value)
-                        if isinstance(sub, ast.Constant)
-                        and isinstance(sub.value, str)
-                    }
-                    return node, verbs
-    return None, set()
-
-
-def _terminal_name(node: ast.expr) -> Optional[str]:
-    """``op`` for both ``op`` and ``request.op`` (None when dynamic)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _handled_verbs(module: ModuleInfo) -> dict[str, list[ast.Compare]]:
-    """Verbs dispatched via ``request.op == "..."`` / ``op == "..."``."""
-    handled: dict[str, list[ast.Compare]] = {}
-    for node in module.nodes:
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        if not isinstance(node.ops[0], (ast.Eq, ast.In)):
-            continue
-        if _terminal_name(node.left) != "op":
-            continue
-        for sub in ast.walk(node.comparators[0]):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                handled.setdefault(sub.value, []).append(node)
-    return handled
-
-
-def _handler_params(module: ModuleInfo) -> dict[str, Optional[set[str]]]:
-    """Per-verb parameter names the dispatcher reads.
-
-    Walks each ``if request.op == "verb":`` branch for
-    ``params.get("name")`` / ``params["name"]`` reads.  A branch that
-    uses ``params`` wholesale (e.g. ``JobSpec.from_payload(params)``)
-    reads everything — recorded as ``None`` (wildcard).
-    """
-    out: dict[str, Optional[set[str]]] = {}
-    for node in module.nodes:
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-            continue
-        if _terminal_name(test.left) != "op" or not isinstance(test.ops[0], ast.Eq):
-            continue
-        comparator = test.comparators[0]
-        if not (
-            isinstance(comparator, ast.Constant)
-            and isinstance(comparator.value, str)
-        ):
-            continue
-        verb = comparator.value
-        reads: set[str] = set()
-        wildcard = False
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "get"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "params"
-                    and sub.args
-                    and isinstance(sub.args[0], ast.Constant)
-                ):
-                    reads.add(str(sub.args[0].value))
-                    continue
-            if isinstance(sub, ast.Subscript) and (
-                isinstance(sub.value, ast.Name) and sub.value.id == "params"
-            ):
-                index = sub.slice
-                if isinstance(index, ast.Constant) and isinstance(index.value, str):
-                    reads.add(str(index.value))
-                continue
-            if isinstance(sub, ast.Name) and sub.id == "params":
-                wildcard = True  # bare ``params`` use
-        # ``params`` appearing only inside the reads above still trips the
-        # wildcard scan; narrow it: wildcard only when reads are empty.
-        previous = out.get(verb)
-        current: Optional[set[str]] = None if (wildcard and not reads) else reads
-        if previous is None and verb in out:
-            current = None
-        elif previous is not None and current is not None:
-            current = previous | current
-        out[verb] = current
-    return out
-
-
-#: Envelope keys every request may carry; never parameter drift.
-_ENVELOPE_KEYS = {"op", "id", "trace"}
-
-
-def _issued_verbs(
-    module: ModuleInfo,
-) -> dict[str, list[tuple[ast.Call | ast.Dict, set[str], bool]]]:
-    """Verbs issued by a module, with the parameter keys each site sends.
-
-    Two issue shapes: ``client.call("verb", k=v, ...)`` and request-body
-    dict literals ``{"op": "verb", ...}``.  A ``**kwargs`` splat makes
-    the parameter set open-ended (recorded via the bool flag).
-    """
-    issued: dict[str, list[tuple[ast.Call | ast.Dict, set[str], bool]]] = {}
-    for node in module.nodes:
-        if isinstance(node, ast.Call):
-            if (
-                _terminal_name(node.func) == "call"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                verb = node.args[0].value
-                params = {
-                    kw.arg
-                    for kw in node.keywords
-                    if kw.arg is not None and not kw.arg.startswith("_")
-                }
-                dynamic = any(kw.arg is None for kw in node.keywords)
-                issued.setdefault(verb, []).append((node, params, dynamic))
-        elif isinstance(node, ast.Dict):
-            keys = [
-                k.value
-                for k in node.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            ]
-            if "op" not in keys:
-                continue
-            dynamic = any(k is None for k in node.keys)  # ``**spread``
-            verb = None
-            params: set[str] = set()
-            for key_node, value_node in zip(node.keys, node.values):
-                if not (
-                    isinstance(key_node, ast.Constant)
-                    and isinstance(key_node.value, str)
-                ):
-                    continue
-                if key_node.value == "op":
-                    if isinstance(value_node, ast.Constant) and isinstance(
-                        value_node.value, str
-                    ):
-                        verb = value_node.value
-                elif key_node.value not in _ENVELOPE_KEYS:
-                    params.add(key_node.value)
-            if verb is not None:
-                issued.setdefault(verb, []).append((node, params, dynamic))
-    return issued
-
-
-def _check_protocol(project: Project, config: AnalyzerConfig) -> list[Finding]:
-    findings: list[Finding] = []
-    protocol_modules = project.modules_matching(config.protocol_module)
-    if not protocol_modules:
-        return findings
-    protocol = protocol_modules[0]
-    verbs_node, declared = _declared_verbs(protocol)
-    decl_line = getattr(verbs_node, "lineno", 1)
-
-    handler_modules = [
-        m
-        for suffix in config.handler_modules
-        for m in project.modules_matching(suffix)
-    ]
-    issuer_modules = [
-        m
-        for suffix in config.issuer_modules
-        for m in project.modules_matching(suffix)
-    ]
-    handled: dict[str, list[tuple[ModuleInfo, ast.Compare]]] = {}
-    handler_params: dict[str, Optional[set[str]]] = {}
-    for module in handler_modules:
-        for verb, nodes in _handled_verbs(module).items():
-            for node in nodes:
-                handled.setdefault(verb, []).append((module, node))
-        for verb, params in _handler_params(module).items():
-            if verb in handler_params:
-                prev = handler_params[verb]
-                handler_params[verb] = (
-                    None
-                    if prev is None or params is None
-                    else prev | params
-                )
-            else:
-                handler_params[verb] = params
-    issued: dict[str, list[tuple[ModuleInfo, ast.Call | ast.Dict, set[str], bool]]] = {}
-    for module in issuer_modules:
-        for verb, sites in _issued_verbs(module).items():
-            for node, params, dynamic in sites:
-                issued.setdefault(verb, []).append((module, node, params, dynamic))
-
-    handler_names = ", ".join(m.name for m in handler_modules) or "<none>"
-    for verb in sorted(declared):
-        if verb not in handled:
-            if protocol.suppressed(decl_line, "REP101"):
-                continue
-            findings.append(
-                Finding(
-                    path=str(protocol.path),
-                    line=decl_line,
-                    col=0,
-                    rule_id="REP101",
-                    message=(
-                        f"verb '{verb}' is declared in VERBS but handled by"
-                        f" no dispatcher ({handler_names})"
-                    ),
-                    fingerprint_key=f"unhandled:{verb}",
-                )
-            )
-        if verb not in issued:
-            if protocol.suppressed(decl_line, "REP101"):
-                continue
-            findings.append(
-                Finding(
-                    path=str(protocol.path),
-                    line=decl_line,
-                    col=0,
-                    rule_id="REP101",
-                    message=(
-                        f"verb '{verb}' is declared in VERBS but never issued"
-                        " by any client/CLI/gateway site (dead verb)"
-                    ),
-                    fingerprint_key=f"unissued:{verb}",
-                )
-            )
-    for verb in sorted(handled):
-        if verb in declared:
-            continue
-        module, node = handled[verb][0]
-        if module.suppressed(node.lineno, "REP101"):
-            continue
-        findings.append(
-            Finding(
-                path=str(module.path),
-                line=node.lineno,
-                col=node.col_offset,
-                rule_id="REP101",
-                message=(
-                    f"verb '{verb}' is dispatched here but missing from"
-                    " VERBS in the protocol module — parse_request rejects"
-                    " it before this handler can run"
-                ),
-                fingerprint_key=f"undeclared-handler:{verb}",
-            )
-        )
-    for verb in sorted(issued):
-        sites = issued[verb]
-        if verb not in declared:
-            module, node, _, _ = sites[0]
-            if module.suppressed(node.lineno, "REP101"):
-                continue
-            findings.append(
-                Finding(
-                    path=str(module.path),
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule_id="REP101",
-                    message=(
-                        f"verb '{verb}' is issued here but not declared in"
-                        " VERBS — the server rejects it as an unknown op"
-                    ),
-                    fingerprint_key=f"undeclared-issuer:{verb}",
-                )
-            )
-            continue
-        reads = handler_params.get(verb, set())
-        if reads is None:  # wildcard: handler consumes params wholesale
-            continue
-        for module, node, params, dynamic in sites:
-            if dynamic:
-                continue
-            unread = sorted(params - reads - _ENVELOPE_KEYS)
-            if not unread:
-                continue
-            if module.suppressed(node.lineno, "REP101"):
-                continue
-            findings.append(
-                Finding(
-                    path=str(module.path),
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule_id="REP101",
-                    message=(
-                        f"verb '{verb}' is issued with parameter(s)"
-                        f" {unread} that no dispatcher reads"
-                        " (signature drift)"
-                    ),
-                    fingerprint_key=f"param-drift:{verb}:{','.join(unread)}",
-                )
-            )
     return findings
 
 
@@ -1654,7 +1374,6 @@ def analyze_project(project: Project) -> list[Finding]:
     config = project.config
     findings = list(project.errors)
     findings.extend(_check_async_safety(project, config))
-    findings.extend(_check_protocol(project, config))
     findings.extend(_check_picklability(project, config))
     findings.extend(_check_taint(project, config))
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
@@ -1730,8 +1449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro analyze",
-        description="whole-program analyzer: async-safety, protocol drift,"
-        " snapshot picklability, determinism taint",
+        description="whole-program analyzer: async-safety, snapshot"
+        " picklability, determinism taint",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
     parser.add_argument(
@@ -1763,7 +1482,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.explain:
         print(explain(args.explain))  # repro-lint: disable=REP006
         return 0
-    findings = analyze_paths(args.paths or ["src"])
+    require_paths(parser.prog, args.paths)
+    findings = analyze_paths(args.paths)
     if args.write_baseline:
         count = write_baseline(args.baseline, findings)
         print(  # repro-lint: disable=REP006

@@ -67,6 +67,7 @@ from repro.check.graph import (
     iter_python_files,
     render_json,
     render_text,
+    require_paths,
 )
 from repro.check.rules import LINT_RULES, RuleInfo
 
@@ -483,7 +484,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         unknown = selected - set(RULES)
         if unknown:
             parser.error(f"unknown rule id(s) in --select: {sorted(unknown)}")
-    violations = lint_paths(args.paths or ["src"], exclude=exclude, select=selected)
+    require_paths(parser.prog, args.paths)
+    violations = lint_paths(args.paths, exclude=exclude, select=selected)
     renderer = render_json if args.format == "json" else render_text
     print(renderer(violations))  # repro-lint: disable=REP006
     return 1 if violations else 0

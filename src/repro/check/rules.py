@@ -2,7 +2,7 @@
 
 Every check the repo's correctness tooling enforces — the per-file lint
 rules (REP000–REP007), the typing gate (TYP001) and the whole-program
-analyzer families (REP100–REP103) — is declared here once, with its
+analyzer families (REP100, REP102, REP103) — is declared here once, with its
 rationale, scope and disable syntax.  ``repro lint --explain REPxxx``
 and ``repro analyze --explain REPxxx`` both render from this table, so
 the documentation cannot drift from the enforcement.
@@ -179,21 +179,6 @@ REGISTRY: dict[str, RuleInfo] = {
             scope="call graph reachable from async defs in repro.service"
             " and repro.gateway",
             disable=_analyze_disable("REP100"),
-        ),
-        RuleInfo(
-            "REP101",
-            "protocol-drift",
-            "wire-protocol verb drift between declaration, handlers, issuers",
-            tool="analyze",
-            rationale="The NDJSON protocol spans three processes (client →"
-            " gateway → worker daemons); a verb declared but unhandled, or"
-            " handled but undeclared, or issued with parameters no handler"
-            " reads, fails only at runtime across a process boundary. The"
-            " analyzer cross-checks service/protocol.py VERBS against the"
-            " daemon and gateway dispatchers and every issuing site.",
-            scope="service/protocol.py vs service/daemon.py,"
-            " gateway/server.py, service/client.py, cli.py",
-            disable=_analyze_disable("REP101"),
         ),
         RuleInfo(
             "REP102",

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.check.graph import Finding
+from repro.check.graph import Finding, require_paths
 from repro.check.lint import lint_paths
 
 __all__ = [
@@ -49,9 +49,9 @@ def check_annotations(paths: Sequence[str | Path]) -> list[Finding]:
 
 
 def strict_paths(src_root: str | Path = "src") -> list[Path]:
-    """The directories the strict gate applies to."""
+    """The strict packages and modules present under ``src_root``."""
     root = Path(src_root) / "repro"
-    return [root / package for package in STRICT_PACKAGES]
+    return [root / package for package in STRICT_PACKAGES if (root / package).exists()]
 
 
 def mypy_available() -> bool:
@@ -89,6 +89,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--src", default="src", help="source root containing the repro package"
     )
     args = parser.parse_args(argv)
+    require_paths(parser.prog, [args.src])
     if mypy_available():
         return run_mypy(args.src)
     gaps = check_annotations(strict_paths(args.src))

@@ -80,14 +80,21 @@ CHECK_TOOLS = {
     ),
     "analyze": (
         "repro.check.graph",
-        "whole-program analyzer: async-safety, protocol drift, snapshot"
-        " picklability, determinism taint (repro.check.graph)",
+        "whole-program analyzer: async-safety, snapshot picklability,"
+        " determinism taint (repro.check.graph)",
     ),
     "typecheck": (
         "repro.check.typing_gate",
         "strict-typing gate (mypy, or the TYP001 annotation fallback)",
     ),
 }
+
+#: Verbs with a subcommand of their own (``submit``, ``loadgen``'s
+#: batches, ``trace dump``), so not ``ctl`` verbs.
+OWN_SUBCOMMAND = frozenset({"submit", "submit_batch", "trace_dump"})
+
+#: ``ctl`` flag destinations, each named after the verb parameter it sets.
+_CTL_FLAG_PARAMS = ("server_id", "gpu_id", "slowdown", "rounds", "until", "events")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sub.add_argument("--timeout", type=float, default=300.0)
 
-    p_ctl = sub.add_parser("ctl", help="control a running daemon or gateway")
+    from repro.service.protocol import VERBS
+
+    ctl_verbs = [name for name in VERBS if name not in OWN_SUBCOMMAND]
+    p_ctl = sub.add_parser(
+        "ctl",
+        help="control a running daemon or gateway",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="verbs:\n"
+        + "\n".join(
+            f"  {name:<13} {VERBS[name].help}"
+            + ("" if len(VERBS[name].tiers) > 1 else f" ({VERBS[name].tiers[0]} only)")
+            for name in ctl_verbs
+        ),
+    )
     p_ctl.add_argument(
         "--socket",
         default="repro-service.sock",
@@ -251,34 +271,29 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="metrics output format (prom = Prometheus text exposition)",
     )
-    p_ctl.add_argument(
-        "verb",
-        choices=[
-            "status",
-            "metrics",
-            "history",
-            "drain",
-            "step",
-            "cancel",
-            "snapshot",
-            "ping",
-            "workers",
-            "gossip",
-            "shutdown",
-            "faultctl",
-        ],
-    )
+    p_ctl.add_argument("verb", choices=ctl_verbs)
     p_ctl.add_argument(
         "job_id",
         nargs="?",
         default=None,
         help="for status/cancel/history; the action for faultctl",
     )
+    # Each flag's dest is the verb parameter it sets.
     p_ctl.add_argument(
-        "--server", type=int, default=None, help="faultctl target server id"
+        "--server",
+        dest="server_id",
+        metavar="SERVER",
+        type=int,
+        default=None,
+        help="faultctl target server id",
     )
     p_ctl.add_argument(
-        "--gpu", type=int, default=None, help="faultctl target GPU id"
+        "--gpu",
+        dest="gpu_id",
+        metavar="GPU",
+        type=int,
+        default=None,
+        help="faultctl target GPU id",
     )
     p_ctl.add_argument(
         "--slowdown",
@@ -562,11 +577,11 @@ def _client_errors(fn):
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
-        from repro.service import ServiceError
+        from repro.service import ProtocolError, ServiceError
 
         try:
             return fn(args)
-        except ServiceError as exc:
+        except (ProtocolError, ServiceError) as exc:
             print(f"error: {exc}", file=sys.stderr)
         except (ConnectionRefusedError, FileNotFoundError):
             target = getattr(args, "socket", None) or getattr(args, "target", "?")
@@ -706,60 +721,23 @@ def cmd_submit(args) -> int:
 
 @_client_errors
 def cmd_ctl(args) -> int:
-    """One control verb against a running daemon."""
+    """One control verb against a running daemon, checked by the verb table."""
     from repro.service import ServiceClient
+    from repro.service.protocol import VERBS
 
+    verb = "metrics_text" if args.verb == "metrics" and args.format == "prom" else args.verb
+    spec = VERBS[verb]
+    params = {name: getattr(args, name) for name in _CTL_FLAG_PARAMS}
+    if args.job_id is not None:
+        # The positional fills the verb's first parameter.
+        params[next(iter(spec.params), "job_id")] = args.job_id
+    params = spec.build(**params)  # a ProtocolError names the bad flag
     with ServiceClient(args.socket) as client:
-        if args.verb == "status":
-            out = client.status(args.job_id)
-        elif args.verb == "metrics":
-            if args.format == "prom":
-                print(client.metrics_text(), end="")
-                return 0
-            out = client.metrics()
-        elif args.verb == "history":
-            if not args.job_id:
-                raise SystemExit("ctl history requires a job_id")
-            out = client.history(args.job_id)
-        elif args.verb == "drain":
-            out = client.drain()
-        elif args.verb == "step":
-            if args.until is not None and args.events is not None:
-                raise SystemExit("ctl step takes at most one of --until/--events")
-            out = client.step(
-                rounds=args.rounds if args.rounds is not None else 1,
-                until=args.until,
-                events=args.events,
-            )
-        elif args.verb == "cancel":
-            if not args.job_id:
-                raise SystemExit("ctl cancel requires a job_id")
-            out = client.cancel(args.job_id)
-        elif args.verb == "faultctl":
-            if not args.job_id:
-                raise SystemExit(
-                    "ctl faultctl requires an action"
-                    " (status/server_crash/server_revive/gpu_fail/"
-                    "gpu_revive/straggler_start/straggler_end)"
-                )
-            out = client.faultctl(
-                args.job_id,
-                server_id=args.server,
-                gpu_id=args.gpu,
-                slowdown=args.slowdown,
-            )
-        elif args.verb == "snapshot":
-            out = {"path": client.snapshot()}
-        elif args.verb == "ping":
-            out = client.ping_info()
-        elif args.verb == "workers":
-            out = client.workers()
-        elif args.verb == "gossip":
-            out = client.gossip()
-        else:  # shutdown
-            client.shutdown()
-            out = {"stopping": True}
-    print(json.dumps(out, indent=2))
+        out = client.ping_info() if verb == "ping" else client.call(verb, **params)
+    if verb == "metrics_text":
+        print(out["text"], end="")
+    else:
+        print(json.dumps(out, indent=2))
     return 0
 
 

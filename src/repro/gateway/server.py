@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import signal
 import threading
 import time
@@ -63,14 +64,14 @@ from repro.obs.tracectx import TraceContext, derive_span_id, derive_trace_id
 from repro.obs.tracing import NullTracer, Tracer
 from repro.service.admission import AdmissionDecision
 from repro.service.protocol import (
+    GATEWAY,
     STREAM_LIMIT,
-    JobSpec,
     ProtocolError,
     Request,
-    Response,
-    encode_line,
+    VerbHandlers,
+    check_job,
     decode_line,
-    parse_request,
+    encode_line,
 )
 
 __all__ = ["GatewayConfig", "GatewayDaemon", "ThreadedGateway", "run_gateway"]
@@ -181,6 +182,10 @@ class WorkerLink:
         return decode_line(line)
 
 
+#: The gateway's verb handlers (checked against the protocol's table).
+_verbs = VerbHandlers(GATEWAY)
+
+
 class GatewayDaemon:
     """Asyncio shell: listeners + router + gossip/health loop."""
 
@@ -271,10 +276,11 @@ class GatewayDaemon:
 
     async def start(self) -> None:
         """Bind the listeners and start the gossip/health loop."""
+        handle = functools.partial(_verbs.serve, self, self._client_tasks)
         if self.config.listen:
             host, port = _parse_listen(self.config.listen)
             server = await asyncio.start_server(
-                self._handle_client, host=host, port=port, limit=STREAM_LIMIT
+                handle, host=host, port=port, limit=STREAM_LIMIT
             )
             self.bound_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
@@ -284,7 +290,7 @@ class GatewayDaemon:
                 socket_path.unlink()
             socket_path.parent.mkdir(parents=True, exist_ok=True)
             server = await asyncio.start_unix_server(
-                self._handle_client, path=str(socket_path), limit=STREAM_LIMIT
+                handle, path=str(socket_path), limit=STREAM_LIMIT
             )
             self._servers.append(server)
         if not self._servers:
@@ -428,11 +434,10 @@ class GatewayDaemon:
             # Traffic-driven gossip: every response refreshes the board.
             self.board.update(partition, overload_degree=result["overload_degree"])
 
-    async def _submit_one(
-        self, params: dict[str, Any], trace: Optional[dict[str, Any]] = None
-    ) -> dict[str, Any]:
-        spec = JobSpec.from_payload(params)  # validate before routing
-        payload, job_id, partition = self._assign(spec.to_payload())
+    @_verbs("submit")
+    async def _submit(self, request: Request) -> dict[str, Any]:
+        # parse_request already checked the job; route it as sent.
+        payload, job_id, partition = self._assign(request.params)
         if self.door.check(self.board) is AdmissionDecision.REJECT:
             return self._door_reject(job_id, partition)
         if self.tracer.enabled and payload.get("trace_id"):
@@ -440,7 +445,7 @@ class GatewayDaemon:
             # under the caller's span, and re-parenting the worker's
             # admission span under itself.
             trace_id = payload["trace_id"]
-            remote = TraceContext.from_wire(trace) if trace else None
+            remote = TraceContext.from_wire(request.trace) if request.trace else None
             parent = (
                 remote.span_id
                 if remote is not None and remote.trace_id == trace_id
@@ -491,12 +496,9 @@ class GatewayDaemon:
         self._record_outcome(partition, result)
         return result
 
-    async def _submit_batch(
-        self, params: dict[str, Any], trace: Optional[dict[str, Any]] = None
-    ) -> dict[str, Any]:
-        jobs = params.get("jobs")
-        if not isinstance(jobs, list):
-            raise ProtocolError("submit_batch requires jobs (a list)")
+    @_verbs("submit_batch")
+    async def _submit_batch(self, request: Request) -> dict[str, Any]:
+        jobs = request.arg("jobs")
         self._batches_total.inc()
         batch_index = self._batches
         self._batches += 1
@@ -505,7 +507,7 @@ class GatewayDaemon:
             # Batches get their own trace (one per gateway batch seq);
             # per-job traces hang off it via the forward spans.
             batch_trace = derive_trace_id(self.config.seed, "batch", batch_index)
-            remote = TraceContext.from_wire(trace) if trace else None
+            remote = TraceContext.from_wire(request.trace) if request.trace else None
             batch_ctx = TraceContext(
                 trace_id=batch_trace,
                 span_id=derive_span_id(batch_trace, "gateway.submit_batch"),
@@ -517,16 +519,16 @@ class GatewayDaemon:
         door_open = self.door.check(self.board) is not AdmissionDecision.REJECT
         for index, raw in enumerate(jobs):
             try:
-                spec = JobSpec.from_payload(dict(raw))
+                check_job(raw)  # in place: the checked dict is forwarded
             except ProtocolError as exc:
                 self._submissions_total.labels("error").inc()
                 results[index] = {
-                    "job_id": (raw or {}).get("job_id") if isinstance(raw, dict) else None,
+                    "job_id": raw.get("job_id") if isinstance(raw, dict) else None,
                     "status": "error",
                     "error": str(exc),
                 }
                 continue
-            payload, job_id, partition = self._assign(spec.to_payload())
+            payload, job_id, partition = self._assign(raw)
             if not door_open:
                 results[index] = self._door_reject(job_id, partition)
                 continue
@@ -564,25 +566,31 @@ class GatewayDaemon:
             items: list[tuple[int, dict[str, Any]]],
             body: dict[str, Any],
         ) -> None:
-            start = time.perf_counter()
-            try:
-                reply = await self.links[partition].request(body)
-                if not reply.get("ok"):
-                    raise ConnectionError(reply.get("error", "worker error"))
-                batch = reply["result"]["results"]
-            except (OSError, ConnectionError, asyncio.TimeoutError, KeyError) as exc:
-                self._forward_errors_total.inc(len(items))
-                self.board.mark_down(partition)
+            def fail(error: str) -> None:
                 for index, payload in items:
                     results[index] = {
                         "job_id": payload.get("job_id"),
                         "status": "error",
-                        "error": f"partition {partition} unavailable: {exc}",
+                        "error": error,
                         "partition": partition,
                     }
+
+            start = time.perf_counter()
+            try:
+                reply = await self.links[partition].request(body)
+            except (OSError, ConnectionError, asyncio.TimeoutError) as exc:
+                # Only a transport failure means the partition is gone.
+                self._forward_errors_total.inc(len(items))
+                self.board.mark_down(partition)
+                fail(f"partition {partition} unavailable: {exc}")
                 return
             self._admission_seconds.observe(time.perf_counter() - start)
-            for (index, _), outcome in zip(items, batch):
+            if not reply.get("ok"):
+                # The worker answered: it is up, it refused this batch.
+                self._submissions_total.labels("error").inc(len(items))
+                fail(str(reply.get("error", "worker error")))
+                return
+            for (index, _), outcome in zip(items, reply["result"]["results"]):
                 outcome = dict(outcome)
                 outcome["partition"] = partition
                 self._record_outcome(partition, outcome)
@@ -628,7 +636,8 @@ class GatewayDaemon:
         )
         return dict(pairs)
 
-    async def _aggregate_metrics(self) -> dict[str, Any]:
+    @_verbs("metrics")
+    async def _metrics(self, request: Request) -> dict[str, Any]:
         per_partition = await self._fanout({"op": "metrics"})
         partitions: dict[str, Any] = {}
         live = []
@@ -675,19 +684,12 @@ class GatewayDaemon:
             "gateway": self.registry.scalar_snapshot(),
         }
 
-    async def _aggregate_status(self, job_id: Optional[str]) -> dict[str, Any]:
+    @_verbs("status")
+    async def _status(self, request: Request) -> dict[str, Any]:
+        job_id = request.arg("job_id")
         if job_id is not None:
-            partition = self._route.get(job_id)
-            if partition is None:
-                partition = self.ring.lookup(job_id)
-            reply = await self.links[partition].request(
-                {"op": "status", "job_id": job_id}
-            )
-            if not reply.get("ok"):
-                raise ProtocolError(reply.get("error", f"unknown job {job_id!r}"))
-            result = dict(reply["result"])
-            result["partition"] = partition
-            return result
+            partition, result = await self._ask_owner("status", job_id)
+            return {**result, "partition": partition}
         per_partition = await self._fanout({"op": "metrics"})
         partitions = {}
         for partition in sorted(per_partition):
@@ -723,7 +725,8 @@ class GatewayDaemon:
             },
         }
 
-    async def _aggregate_metrics_text(self) -> str:
+    @_verbs("metrics_text")
+    async def _metrics_text(self, request: Request) -> dict[str, Any]:
         """Every worker's Prometheus exposure merged with the gateway's.
 
         Samples are tagged ``worker="gateway"`` / ``worker="<partition>"``;
@@ -736,11 +739,10 @@ class GatewayDaemon:
             result = per_partition[partition]
             if "error" not in result:
                 sources[str(partition)] = str(result.get("text", ""))
-        return merge_metrics_text(sources, label="worker")
+        return {"text": merge_metrics_text(sources, label="worker")}
 
-    async def _trace_dump(
-        self, deterministic: bool = False, reset: bool = False
-    ) -> dict[str, Any]:
+    @_verbs("trace_dump")
+    async def _trace_dump(self, request: Request) -> dict[str, Any]:
         """The cluster-wide collector behind the ``trace_dump`` verb.
 
         Fans out to every worker, merges their span dumps with the
@@ -750,6 +752,7 @@ class GatewayDaemon:
         documents; ``reset`` clears stored spans everywhere after
         dumping.
         """
+        reset = request.arg("reset")
         per_partition = await self._fanout({"op": "trace_dump", "reset": reset})
         processes = [
             ProcessTrace(
@@ -769,7 +772,7 @@ class GatewayDaemon:
             )
         if reset and self.tracer.enabled:
             self.tracer.events = []
-        doc = merge_chrome_traces(processes, deterministic=deterministic)
+        doc = merge_chrome_traces(processes, deterministic=request.arg("deterministic"))
         out: dict[str, Any] = {
             "trace": doc,
             "processes": [p.name for p in processes],
@@ -781,165 +784,86 @@ class GatewayDaemon:
 
     # -- request handling --------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-            task.add_done_callback(self._client_tasks.discard)
-        try:
-            while not reader.at_eof():
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                writer.write(response.encode())
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
+    @_verbs("ping")
+    async def _ping(self, request: Request) -> dict[str, Any]:
+        statuses = self.supervisor.statuses()
+        return {
+            "pong": True,
+            "role": "gateway",
+            "workers": {
+                "total": len(statuses),
+                "up": sum(1 for s in statuses if s["alive"]),
+            },
+        }
 
-    async def _dispatch_line(self, line: bytes) -> Response:
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            return Response.failure(str(exc))
-        try:
-            return await self._dispatch(request)
-        except ProtocolError as exc:
-            return Response.failure(str(exc), id=request.id)
-        except Exception as exc:  # the gateway must survive any verb failure
-            return Response.failure(f"internal error: {exc}", id=request.id)
+    @_verbs("workers")
+    async def _workers(self, request: Request) -> dict[str, Any]:
+        rows = []
+        for status in self.supervisor.statuses():
+            sample = self.board.partitions.get(status["partition"])
+            rows.append(
+                {
+                    **status,
+                    "answering": bool(sample and sample.alive),
+                    "rtt_ms": sample.rtt_ms if sample else 0.0,
+                }
+            )
+        return {"workers": rows}
 
-    async def _dispatch(self, request: Request) -> Response:
-        params = request.params
-        if request.op == "ping":
-            statuses = self.supervisor.statuses()
-            return Response.success(
-                {
-                    "pong": True,
-                    "role": "gateway",
-                    "workers": {
-                        "total": len(statuses),
-                        "up": sum(1 for s in statuses if s["alive"]),
-                    },
-                },
-                id=request.id,
-            )
-        if request.op == "submit":
-            return Response.success(
-                await self._submit_one(params, trace=request.trace), id=request.id
-            )
-        if request.op == "submit_batch":
-            return Response.success(
-                await self._submit_batch(params, trace=request.trace), id=request.id
-            )
-        if request.op == "status":
-            return Response.success(
-                await self._aggregate_status(params.get("job_id")), id=request.id
-            )
-        if request.op == "metrics":
-            return Response.success(await self._aggregate_metrics(), id=request.id)
-        if request.op == "metrics_text":
-            return Response.success(
-                {"text": await self._aggregate_metrics_text()}, id=request.id
-            )
-        if request.op == "trace_dump":
-            return Response.success(
-                await self._trace_dump(
-                    deterministic=bool(params.get("deterministic", False)),
-                    reset=bool(params.get("reset", False)),
-                ),
-                id=request.id,
-            )
-        if request.op == "workers":
-            rows = []
-            for status in self.supervisor.statuses():
-                sample = self.board.partitions.get(status["partition"])
-                rows.append(
-                    {
-                        **status,
-                        "answering": bool(sample and sample.alive),
-                        "rtt_ms": sample.rtt_ms if sample else 0.0,
-                    }
-                )
-            return Response.success({"workers": rows}, id=request.id)
-        if request.op == "gossip":
-            return Response.success(await self.poll_once(), id=request.id)
-        if request.op == "cancel":
-            job_id = params.get("job_id")
-            if not job_id:
-                raise ProtocolError("cancel requires job_id")
-            partition = self._route.get(job_id, None)
-            if partition is None:
-                partition = self.ring.lookup(job_id)
-            reply = await self.links[partition].request(
-                {"op": "cancel", "job_id": job_id}
-            )
-            if not reply.get("ok"):
-                raise ProtocolError(reply.get("error", "cancel failed"))
-            result = dict(reply["result"])
-            result["partition"] = partition
-            return Response.success(result, id=request.id)
-        if request.op == "history":
-            job_id = params.get("job_id")
-            if not job_id:
-                raise ProtocolError("history requires job_id")
-            partition = self._route.get(job_id)
-            if partition is None:
-                partition = self.ring.lookup(job_id)
-            reply = await self.links[partition].request(
-                {"op": "history", "job_id": job_id}
-            )
-            if not reply.get("ok"):
-                raise ProtocolError(reply.get("error", f"unknown job {job_id!r}"))
-            return Response.success(dict(reply["result"]), id=request.id)
-        if request.op == "step":
-            until = params.get("until")
-            events = params.get("events")
-            if until is not None and events is not None:
-                raise ProtocolError(
-                    "step accepts at most one of 'until' and 'events'"
-                )
-            payload: dict[str, Any]
-            if until is not None:
-                # Time-based stepping fans out unchanged: every
-                # partition advances its own clock to the same bound.
-                payload = {"op": "step", "until": float(until)}
-            elif events is not None:
-                # Event counts are per partition (a global budget would
-                # make partition progress depend on fan-out ordering).
-                payload = {"op": "step", "events": int(events)}
-            else:
-                payload = {"op": "step", "rounds": max(1, int(params.get("rounds", 1)))}
-            per_partition = await self._fanout(payload)
-            return Response.success(
-                {"partitions": {str(p): r for p, r in sorted(per_partition.items())}},
-                id=request.id,
-            )
-        if request.op == "drain":
-            per_partition = await self._fanout(
-                {"op": "drain", "max_rounds": int(params.get("max_rounds", 100_000))},
-                timeout=self.config.drain_timeout,
-            )
-            idle = all(
-                r.get("idle", False) for r in per_partition.values() if "error" not in r
-            )
-            return Response.success(
-                {
-                    "idle": idle,
-                    "partitions": {
-                        str(p): r for p, r in sorted(per_partition.items())
-                    },
-                },
-                id=request.id,
-            )
-        if request.op == "shutdown":
-            self._stop.set()
-            return Response.success({"stopping": True}, id=request.id)
-        raise ProtocolError(f"the gateway does not implement op {request.op!r}")
+    @_verbs("gossip")
+    async def _gossip(self, request: Request) -> dict[str, Any]:
+        return await self.poll_once()
+
+    async def _ask_owner(self, op: str, job_id: str) -> tuple[int, dict[str, Any]]:
+        """Send a job's verb to the partition that owns it."""
+        partition = self._route.get(job_id)
+        if partition is None:
+            partition = self.ring.lookup(job_id)
+        reply = await self.links[partition].request({"op": op, "job_id": job_id})
+        if not reply.get("ok"):
+            raise ProtocolError(reply.get("error", f"{op} failed for {job_id!r}"))
+        return partition, dict(reply["result"])
+
+    @_verbs("cancel")
+    async def _cancel(self, request: Request) -> dict[str, Any]:
+        partition, result = await self._ask_owner("cancel", request.arg("job_id"))
+        return {**result, "partition": partition}
+
+    @_verbs("history")
+    async def _history(self, request: Request) -> dict[str, Any]:
+        _, result = await self._ask_owner("history", request.arg("job_id"))
+        return result
+
+    @_verbs("step")
+    async def _step(self, request: Request) -> dict[str, Any]:
+        # Every partition steps by the same request: ``until`` advances
+        # each clock to the same bound, while ``events`` and ``rounds``
+        # count per partition (a global budget would make progress
+        # depend on fan-out ordering).
+        per_partition = await self._fanout({"op": "step", **request.params})
+        return {"partitions": {str(p): r for p, r in sorted(per_partition.items())}}
+
+    @_verbs("drain")
+    async def _drain(self, request: Request) -> dict[str, Any]:
+        per_partition = await self._fanout(
+            {"op": "drain", "max_rounds": request.arg("max_rounds")},
+            timeout=self.config.drain_timeout,
+        )
+        idle = all(
+            r.get("idle", False) for r in per_partition.values() if "error" not in r
+        )
+        return {
+            "idle": idle,
+            "partitions": {str(p): r for p, r in sorted(per_partition.items())},
+        }
+
+    @_verbs("shutdown")
+    async def _shutdown(self, request: Request) -> dict[str, Any]:
+        self._stop.set()
+        return {"stopping": True}
+
+
+_verbs.complete()
 
 
 def gateway_worker_configs(config: GatewayConfig):

@@ -329,7 +329,11 @@ class NullTracer:
     def write(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace()), encoding="utf-8")
+        # Every caller writes only when ``tracer.enabled``, which a
+        # NullTracer never is, so no event loop reaches this I/O.
+        path.write_text(  # repro-analyze: disable=REP100
+            json.dumps(self.to_chrome_trace()), encoding="utf-8"
+        )
         return path
 
     def __len__(self) -> int:

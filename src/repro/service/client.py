@@ -36,6 +36,7 @@ from typing import Any, Optional
 
 from repro.obs.tracectx import TraceContext
 from repro.service.protocol import (
+    VERBS,
     JobSpec,
     ProtocolError,
     Request,
@@ -195,14 +196,24 @@ class ServiceClient:
 
     # -- verbs -------------------------------------------------------------
 
+    def _verb(
+        self, op: str, _trace: Optional[TraceContext] = None, **params: Any
+    ) -> dict[str, Any]:
+        """:meth:`call` with ``params`` checked against the verb table.
+
+        ``None`` means unset; a malformed call raises
+        :class:`ProtocolError` before anything is sent.
+        """
+        return self.call(op, _trace=_trace, **VERBS[op].build(**params))
+
     def ping(self) -> bool:
         """Liveness probe."""
-        return bool(self.call("ping").get("pong"))
+        return bool(self._verb("ping").get("pong"))
 
     def ping_info(self) -> dict[str, Any]:
         """Liveness probe with the measured round-trip latency (ms)."""
         start = time.perf_counter()
-        result = self.call("ping")
+        result = self._verb("ping")
         result["rtt_ms"] = (time.perf_counter() - start) * 1000.0
         return result
 
@@ -210,75 +221,67 @@ class ServiceClient:
         self, spec: JobSpec, trace: Optional[TraceContext] = None
     ) -> dict[str, Any]:
         """Submit a job; returns job_id plus the admission outcome."""
-        return self.call("submit", _trace=trace, **spec.to_payload())
+        return self._verb("submit", _trace=trace, **spec.to_payload())
 
     def submit_batch(
         self,
-        specs: list[JobSpec] | list[dict[str, Any]],
+        specs: list[JobSpec] | list[Any],
         trace: Optional[TraceContext] = None,
     ) -> list[dict[str, Any]]:
-        """Submit many jobs in one round trip; per-job outcomes in order."""
-        jobs = [
-            spec.to_payload() if isinstance(spec, JobSpec) else dict(spec)
-            for spec in specs
-        ]
-        out = self.call("submit_batch", _trace=trace, jobs=jobs)
+        """Submit many jobs in one round trip; per-job outcomes in order.
+
+        Jobs are checked by the server, slot by slot.
+        """
+        jobs = [spec.to_payload() if isinstance(spec, JobSpec) else spec for spec in specs]
+        out = self._verb("submit_batch", _trace=trace, jobs=jobs)
         return list(out.get("results", []))
 
     def status(self, job_id: Optional[str] = None) -> dict[str, Any]:
         """Status of one job, or of every known job."""
-        if job_id is None:
-            return self.call("status")
-        return self.call("status", job_id=job_id)
+        return self._verb("status", job_id=job_id)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         """Cancel a parked or active job."""
-        return self.call("cancel", job_id=job_id)
+        return self._verb("cancel", job_id=job_id)
 
     def metrics(self) -> dict[str, Any]:
         """Engine/cluster metrics snapshot."""
-        return self.call("metrics")
+        return self._verb("metrics")
 
     def metrics_text(self) -> str:
         """The registry in Prometheus text exposition format."""
-        return str(self.call("metrics_text").get("text", ""))
+        return str(self._verb("metrics_text").get("text", ""))
 
     def history(self, job_id: str) -> dict[str, Any]:
         """A job's event timeline."""
-        return self.call("history", job_id=job_id)
+        return self._verb("history", job_id=job_id)
 
-    def drain(self, max_rounds: int = 100_000) -> dict[str, Any]:
+    def drain(self, max_rounds: Optional[int] = None) -> dict[str, Any]:
         """Stop admissions and run everything to completion."""
-        return self.call("drain", max_rounds=max_rounds)
+        return self._verb("drain", max_rounds=max_rounds)
 
     def step(
         self,
-        rounds: int = 1,
+        rounds: Optional[int] = None,
         until: Optional[float] = None,
         events: Optional[int] = None,
     ) -> dict[str, Any]:
         """Advance the scheduler without draining.
 
-        Exactly one stepping mode applies: ``until`` runs passes until
+        At most one stepping mode applies: ``until`` runs passes until
         the sim clock reaches that time, ``events`` until that many
-        simulator events have been processed, and otherwise ``rounds``
-        counts scheduling passes (the legacy mode).
+        simulator events have been processed, and ``rounds`` counts
+        scheduling passes (the default: one).
         """
-        if until is not None and events is not None:
-            raise ValueError("step accepts at most one of 'until' and 'events'")
-        if until is not None:
-            return self.call("step", until=until)
-        if events is not None:
-            return self.call("step", events=events)
-        return self.call("step", rounds=rounds)
+        return self._verb("step", rounds=rounds, until=until, events=events)
 
     def workers(self) -> dict[str, Any]:
         """Per-partition worker liveness (gateway only)."""
-        return self.call("workers")
+        return self._verb("workers")
 
     def gossip(self) -> dict[str, Any]:
         """Force an occupancy poll of every worker (gateway only)."""
-        return self.call("gossip")
+        return self._verb("gossip")
 
     def faultctl(
         self,
@@ -288,14 +291,13 @@ class ServiceClient:
         slowdown: Optional[float] = None,
     ) -> dict[str, Any]:
         """Inspect ("status") or inject faults (e.g. "server_crash")."""
-        params: dict[str, Any] = {"action": action}
-        if server_id is not None:
-            params["server_id"] = server_id
-        if gpu_id is not None:
-            params["gpu_id"] = gpu_id
-        if slowdown is not None:
-            params["slowdown"] = slowdown
-        return self.call("faultctl", **params)
+        return self._verb(
+            "faultctl",
+            action=action,
+            server_id=server_id,
+            gpu_id=gpu_id,
+            slowdown=slowdown,
+        )
 
     def trace_dump(
         self, deterministic: bool = False, reset: bool = False
@@ -308,15 +310,15 @@ class ServiceClient:
         ``deterministic`` re-keying timestamps onto the canonical order
         so same-seed dumps are byte-identical.
         """
-        return self.call("trace_dump", deterministic=deterministic, reset=reset)
+        return self._verb("trace_dump", deterministic=deterministic, reset=reset)
 
     def snapshot(self) -> str:
         """Force a snapshot; returns its path."""
-        return str(self.call("snapshot")["path"])
+        return str(self._verb("snapshot")["path"])
 
     def shutdown(self) -> None:
         """Ask the daemon to stop."""
-        self.call("shutdown")
+        self._verb("shutdown")
 
     def wait(
         self,

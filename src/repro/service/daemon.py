@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import random
 import signal
 import threading
@@ -41,12 +42,13 @@ from repro.service.admission import (
     AdmissionPolicy,
 )
 from repro.service.protocol import (
+    DAEMON,
     STREAM_LIMIT,
     JobSpec,
     ProtocolError,
     Request,
-    Response,
-    parse_request,
+    VerbHandlers,
+    check_job,
 )
 from repro.obs.observer import Observer
 from repro.obs.tracectx import TraceContext, derive_span_id, trace_context
@@ -270,17 +272,20 @@ class SchedulerService:
             "overload_degree": self.admission.tracker.value,
         }
 
-    def submit_batch(self, payloads: list[dict[str, Any]]) -> dict[str, Any]:
-        """Admit/queue/reject a batch; one bad spec fails only its slot."""
+    def submit_batch(self, payloads: list[Any]) -> dict[str, Any]:
+        """Admit/queue/reject a batch; one bad job fails only its slot.
+
+        Each job is checked (types and domain) before it is built, so a
+        bad slot never fails the batch after earlier slots were admitted.
+        """
         results: list[dict[str, Any]] = []
         for payload in payloads:
             try:
-                spec = JobSpec.from_payload(dict(payload))
-                results.append(self.submit(spec))
+                results.append(self.submit(JobSpec(**check_job(payload))))
             except ProtocolError as exc:
                 results.append(
                     {
-                        "job_id": payload.get("job_id"),
+                        "job_id": payload.get("job_id") if isinstance(payload, dict) else None,
                         "status": "error",
                         "error": str(exc),
                     }
@@ -340,15 +345,23 @@ class SchedulerService:
 
     def drain(self, max_rounds: int = 100_000) -> dict[str, Any]:
         """Stop admitting; run rounds until all work completes."""
+        rounds = sum(1 for _ in self.drain_rounds(max_rounds))
+        return {"rounds": rounds, "idle": self.idle, **self.metrics()}
+
+    def drain_rounds(self, max_rounds: int = 100_000) -> Iterator[PassResult]:
+        """Stop admitting; yield each round until all work completes.
+
+        The engine is finalized once the generator is exhausted.
+        """
         self.draining = True
         rounds = 0
         while rounds < max_rounds and not self.idle:
             result = self.advance_round()
             rounds += 1
+            yield result
             if result.events_processed == 0 and self.admission.queue_depth == 0:
                 break
         self.engine.finalize()
-        return {"rounds": rounds, "idle": self.idle, **self.metrics()}
 
     def passes_until(
         self, until: float, max_passes: int = 100_000
@@ -593,6 +606,10 @@ class SchedulerService:
         return dict(self.__dict__)
 
 
+#: The daemon's verb handlers (checked against the protocol's table).
+_verbs = VerbHandlers(DAEMON)
+
+
 class SchedulerDaemon:
     """Asyncio shell: socket server + periodic round loop."""
 
@@ -612,7 +629,9 @@ class SchedulerDaemon:
             socket_path.unlink()
         socket_path.parent.mkdir(parents=True, exist_ok=True)
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=str(socket_path), limit=STREAM_LIMIT
+            functools.partial(_verbs.serve, self, self._client_tasks),
+            path=str(socket_path),
+            limit=STREAM_LIMIT,
         )
         if self.core.config.round_interval > 0:
             self._round_task = asyncio.create_task(self._round_loop())
@@ -672,157 +691,118 @@ class SchedulerDaemon:
 
     # -- request handling --------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-            task.add_done_callback(self._client_tasks.discard)
-        try:
-            while not reader.at_eof():
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                writer.write(response.encode())
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
+    @_verbs("ping")
+    async def _ping(self, request: Request) -> dict[str, Any]:
+        return {"pong": True, "role": "daemon", "round": self.core.engine.round_index}
 
-    async def _dispatch_line(self, line: bytes) -> Response:
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            return Response.failure(str(exc))
-        try:
-            return await self._dispatch(request)
-        except ProtocolError as exc:
-            return Response.failure(str(exc), id=request.id)
-        except Exception as exc:  # daemon must survive any verb failure
-            return Response.failure(f"internal error: {exc}", id=request.id)
+    @_verbs("submit")
+    async def _submit(self, request: Request) -> dict[str, Any]:
+        return self.core.submit(JobSpec(**request.params))
 
-    async def _dispatch(self, request: Request) -> Response:
+    @_verbs("submit_batch")
+    async def _submit_batch(self, request: Request) -> dict[str, Any]:
+        jobs = request.arg("jobs")
+        ctx = self._request_trace(request, "worker.submit_batch")
+        if ctx is None:
+            return self.core.submit_batch(jobs)
+        with trace_context(ctx):
+            with self.core.observer.span("worker.submit_batch", jobs=len(jobs)):
+                return self.core.submit_batch(jobs)
+
+    @_verbs("status")
+    async def _status(self, request: Request) -> dict[str, Any]:
+        return self.core.status(request.arg("job_id"))
+
+    @_verbs("cancel")
+    async def _cancel(self, request: Request) -> dict[str, Any]:
+        return self.core.cancel(request.arg("job_id"))
+
+    @_verbs("metrics")
+    async def _metrics(self, request: Request) -> dict[str, Any]:
+        return self.core.metrics()
+
+    @_verbs("metrics_text")
+    async def _metrics_text(self, request: Request) -> dict[str, Any]:
+        return {"text": self.core.metrics_text()}
+
+    @_verbs("history")
+    async def _history(self, request: Request) -> dict[str, Any]:
+        return self.core.history(request.arg("job_id"))
+
+    @_verbs("drain")
+    async def _drain(self, request: Request) -> dict[str, Any]:
+        """Cooperative drain: yields to the loop between rounds."""
+        rounds = 0
+        for _ in self.core.drain_rounds(request.arg("max_rounds")):
+            rounds += 1
+            await asyncio.sleep(0)
+        return {"rounds": rounds, "idle": self.core.idle, **self.core.metrics()}
+
+    @_verbs("step")
+    async def _step(self, request: Request) -> dict[str, Any]:
         core = self.core
-        params = request.params
-        if request.op == "ping":
-            return Response.success(
-                {"pong": True, "role": "daemon", "round": core.engine.round_index},
-                id=request.id,
-            )
-        if request.op == "submit":
-            spec = JobSpec.from_payload(params)
-            return Response.success(core.submit(spec), id=request.id)
-        if request.op == "submit_batch":
-            jobs = params.get("jobs")
-            if not isinstance(jobs, list):
-                raise ProtocolError("submit_batch requires jobs (a list)")
-            ctx = self._request_trace(request, "worker.submit_batch")
-            if ctx is None:
-                return Response.success(core.submit_batch(jobs), id=request.id)
-            with trace_context(ctx):
-                with core.observer.span("worker.submit_batch", jobs=len(jobs)):
-                    result = core.submit_batch(jobs)
-            return Response.success(result, id=request.id)
-        if request.op == "status":
-            return Response.success(core.status(params.get("job_id")), id=request.id)
-        if request.op == "cancel":
-            job_id = params.get("job_id")
-            if not job_id:
-                raise ProtocolError("cancel requires job_id")
-            return Response.success(core.cancel(job_id), id=request.id)
-        if request.op == "metrics":
-            return Response.success(core.metrics(), id=request.id)
-        if request.op == "metrics_text":
-            return Response.success({"text": core.metrics_text()}, id=request.id)
-        if request.op == "history":
-            job_id = params.get("job_id")
-            if not job_id:
-                raise ProtocolError("history requires job_id")
-            return Response.success(core.history(job_id), id=request.id)
-        if request.op == "drain":
-            result = await self._drain(int(params.get("max_rounds", 100_000)))
-            return Response.success(result, id=request.id)
-        if request.op == "step":
-            until = params.get("until")
-            events = params.get("events")
-            if until is not None and events is not None:
-                raise ProtocolError(
-                    "step accepts at most one of 'until' and 'events'"
-                )
-            if until is not None or events is not None:
-                if until is not None:
-                    passes_iter = core.passes_until(float(until))
-                else:
-                    passes_iter = core.passes_for_events(int(events))
-                passes = 0
-                events_processed = 0
-                last = None
-                for result in passes_iter:
-                    last = result
-                    passes += 1
-                    events_processed += result.events_processed
-                    await asyncio.sleep(0)
-                return Response.success(
-                    {
-                        "round": core.engine.round_index,
-                        "pass_index": core.engine.pass_index,
-                        "sim_time": core.engine.now,
-                        "passes": passes,
-                        "events_processed": events_processed,
-                        "ticked": bool(last.ticked) if last else False,
-                        "queue_depth": len(core.engine.queue),
-                        "active_jobs": len(core.engine.active_jobs),
-                    },
-                    id=request.id,
-                )
-            rounds = max(1, int(params.get("rounds", 1)))
+        until = request.arg("until")
+        events = request.arg("events")
+        if until is None and events is None:
             last = None
-            for _ in range(rounds):
+            for _ in range(max(1, request.arg("rounds"))):
                 last = core.advance_round()
                 await asyncio.sleep(0)
             assert last is not None
-            return Response.success(
-                {
-                    "round": last.pass_index,
-                    "sim_time": last.sim_time,
-                    "ticked": last.ticked,
-                    "queue_depth": last.queue_depth,
-                    "active_jobs": last.active_jobs,
-                },
-                id=request.id,
-            )
-        if request.op == "faultctl":
-            action = params.get("action")
-            if not action:
-                raise ProtocolError("faultctl requires action")
-            server_id = params.get("server_id")
-            gpu_id = params.get("gpu_id")
-            return Response.success(
-                core.faultctl(
-                    str(action),
-                    server_id=int(server_id) if server_id is not None else None,
-                    gpu_id=int(gpu_id) if gpu_id is not None else None,
-                    slowdown=float(params.get("slowdown", 3.0)),
-                ),
-                id=request.id,
-            )
-        if request.op == "trace_dump":
-            return Response.success(
-                core.trace_dump(reset=bool(params.get("reset", False))),
-                id=request.id,
-            )
-        if request.op == "snapshot":
-            path = core.snapshot_now()
-            if path is None:
-                raise ProtocolError("snapshots are not configured")
-            return Response.success({"path": path}, id=request.id)
-        if request.op == "shutdown":
-            self._stop.set()
-            return Response.success({"stopping": True}, id=request.id)
-        raise ProtocolError(f"unhandled op {request.op!r}")
+            return {
+                "round": last.pass_index,
+                "sim_time": last.sim_time,
+                "ticked": last.ticked,
+                "queue_depth": last.queue_depth,
+                "active_jobs": last.active_jobs,
+            }
+        passes_iter = (
+            core.passes_until(until)
+            if until is not None
+            else core.passes_for_events(events)
+        )
+        passes = 0
+        events_processed = 0
+        result = None
+        for result in passes_iter:
+            passes += 1
+            events_processed += result.events_processed
+            await asyncio.sleep(0)
+        return {
+            "round": core.engine.round_index,
+            "pass_index": core.engine.pass_index,
+            "sim_time": core.engine.now,
+            "passes": passes,
+            "events_processed": events_processed,
+            "ticked": bool(result.ticked) if result else False,
+            "queue_depth": len(core.engine.queue),
+            "active_jobs": len(core.engine.active_jobs),
+        }
+
+    @_verbs("faultctl")
+    async def _faultctl(self, request: Request) -> dict[str, Any]:
+        return self.core.faultctl(
+            request.arg("action"),
+            server_id=request.arg("server_id"),
+            gpu_id=request.arg("gpu_id"),
+            slowdown=request.arg("slowdown"),
+        )
+
+    @_verbs("trace_dump")
+    async def _trace_dump(self, request: Request) -> dict[str, Any]:
+        return self.core.trace_dump(reset=request.arg("reset"))
+
+    @_verbs("snapshot")
+    async def _snapshot(self, request: Request) -> dict[str, Any]:
+        path = self.core.snapshot_now()
+        if path is None:
+            raise ProtocolError("snapshots are not configured")
+        return {"path": path}
+
+    @_verbs("shutdown")
+    async def _shutdown(self, request: Request) -> dict[str, Any]:
+        self._stop.set()
+        return {"stopping": True}
 
     def _request_trace(
         self, request: Request, site: str
@@ -839,19 +819,8 @@ class SchedulerDaemon:
             parent_id=remote.span_id,
         )
 
-    async def _drain(self, max_rounds: int) -> dict[str, Any]:
-        """Cooperative drain: yields to the loop between rounds."""
-        core = self.core
-        core.draining = True
-        rounds = 0
-        while rounds < max_rounds and not core.idle:
-            result = core.advance_round()
-            rounds += 1
-            if result.events_processed == 0 and core.admission.queue_depth == 0:
-                break
-            await asyncio.sleep(0)
-        core.engine.finalize()
-        return {"rounds": rounds, "idle": core.idle, **core.metrics()}
+
+_verbs.complete()
 
 
 async def serve(config: Optional[ServiceConfig] = None, restore: bool = False) -> None:

@@ -8,47 +8,14 @@ carries ``ok`` plus either a ``result`` object or an ``error`` string.
 
 Verbs
 -----
-``submit``   Submit one job (a :class:`JobSpec`); admission control may
-             admit, queue, or reject it.
-``submit_batch``
-             Submit many jobs in one round trip (``jobs`` is a list of
-             :class:`JobSpec` payloads).  Per-job outcomes come back in
-             submission order; one malformed spec fails only its own
-             slot, never the batch.  This is the verb the gateway uses
-             to pipeline a whole partition's worth of submissions to a
-             worker.
-``status``   Status of one job (``job_id``) or of every known job.
-``cancel``   Cancel a queued or running job.
-``metrics``  Cluster/engine metrics summary.
-``metrics_text``
-             The observability registry rendered in the Prometheus text
-             exposition format (counters, gauges, phase-latency
-             histograms).
-``history``  A job's event timeline (``job_id``): admission → submitted
-             → queued → placed → migrated/evicted → stopped/completed,
-             each stamped with round, servers and priority.
-``drain``    Stop admitting work and run the engine until everything
-             completes.
-``step``     Advance the scheduler without draining (keeps admitting;
-             useful for tests and paced drivers).  Exactly one of three
-             stepping modes: ``rounds`` (fixed number of scheduling
-             passes, the legacy default), ``until`` (run passes until
-             the sim clock reaches that time, then fast-forward the
-             clock to it), or ``events`` (run passes until that many
-             simulator events were processed).
-``snapshot`` Force a snapshot to disk now.
-``ping``     Liveness probe (clients time it for round-trip latency).
-``workers``  Per-partition worker liveness (gateway only).
-``gossip``   Force an occupancy/health poll of every worker and return
-             the resulting occupancy board (gateway only).
-``shutdown`` Stop the daemon (snapshotting first when configured).
-``trace_dump``
-             The process's recorded spans (raw
-             :class:`~repro.obs.tracing.SpanRecord` dicts plus the
-             dropped-span count).  A single daemon returns its own; the
-             gateway fans out and merges every worker's dump with its
-             own into one Chrome-trace document with a lane per process
-             (see :mod:`repro.obs.distributed`).
+Every verb is declared once, in :data:`VERBS`: its one-line help, each
+parameter's JSON type, whether it is required and its default, any
+mutually exclusive parameters, and the tiers that serve it (the
+``daemon``, the ``gateway``, or both).  :func:`parse_request` checks a
+request against that table (unknown keys included) before any handler
+runs; each tier registers one handler per verb it serves through
+:class:`VerbHandlers`, which fails at import when a declared verb has
+no handler or a handler names an undeclared verb.
 
 Trace context
 -------------
@@ -67,34 +34,16 @@ client library serves both tiers.
 
 from __future__ import annotations
 
+import asyncio
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+import math
+from dataclasses import dataclass, field, fields
+from typing import Any, Awaitable, Callable, Mapping, Optional
+
+from repro.workload.models import MODEL_NAMES
 
 #: Protocol revision; bumped on incompatible changes.
 PROTOCOL_VERSION = 1
-
-VERBS = frozenset(
-    {
-        "submit",
-        "submit_batch",
-        "status",
-        "workers",
-        "gossip",
-        "cancel",
-        "metrics",
-        "metrics_text",
-        "history",
-        "drain",
-        "step",
-        "faultctl",
-        "snapshot",
-        "ping",
-        "shutdown",
-        "trace_dump",
-    }
-)
-
 
 #: asyncio stream line limit for every listener/connection speaking this
 #: protocol.  One ``submit_batch`` line carries the whole batch and one
@@ -102,6 +51,10 @@ VERBS = frozenset(
 #: StreamReader limit truncates them; 64 MiB comfortably fits tens of
 #: thousands of jobs — or a full 500k-span tracer ring — per line.
 STREAM_LIMIT = 64 * 1024 * 1024
+
+#: The two tiers that serve verbs.
+DAEMON = "daemon"
+GATEWAY = "gateway"
 
 
 class ProtocolError(ValueError):
@@ -138,42 +91,215 @@ class JobSpec:
 
     def validate(self) -> None:
         """Raise ``ProtocolError`` on out-of-domain fields."""
-        if self.gpus_requested < 1:
-            raise ProtocolError("gpus_requested must be >= 1")
-        if self.max_iterations < 1:
-            raise ProtocolError("max_iterations must be >= 1")
-        if not 0.0 <= self.accuracy_requirement <= 1.0:
-            raise ProtocolError("accuracy_requirement out of [0, 1]")
-        if self.urgency < 0:
-            raise ProtocolError("urgency must be >= 0")
-        if self.training_data_mb <= 0:
-            raise ProtocolError("training_data_mb must be positive")
-        for name in ("trace_id", "parent_span_id"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, str) or not value):
-                raise ProtocolError(f"{name} must be a non-empty string")
+        check_job(self.to_payload())
 
     def to_payload(self) -> dict[str, Any]:
         """The JSON-safe dict form (unset optional fields omitted)."""
-        payload = asdict(self)
-        for optional in ("job_id", "tenant", "trace_id", "parent_span_id"):
-            if payload[optional] is None:
-                del payload[optional]
-        return payload
+        payload = {name: getattr(self, name) for name in JOB_PARAMS}
+        return {name: value for name, value in payload.items() if value is not None}
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "JobSpec":
         """Parse and validate a payload dict."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(payload) - known
-        if unknown:
-            raise ProtocolError(f"unknown job fields: {sorted(unknown)}")
-        try:
-            spec = cls(**payload)
-        except TypeError as exc:
-            raise ProtocolError(str(exc)) from None
-        spec.validate()
-        return spec
+        return cls(**check_job(dict(payload)))
+
+
+@dataclass(frozen=True, slots=True)
+class Param:
+    """One parameter: its JSON type, whether it is required, its default.
+
+    ``int`` rejects booleans; ``float`` accepts an integer and widens
+    it, and rejects NaN and infinities.  ``None`` stands for "absent"
+    only where the default is ``None``.
+    """
+
+    type: type
+    required: bool = False
+    default: Any = None
+
+
+_JSON_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+#: ``JobSpec`` field annotations as JSON types.
+_FIELD_TYPES = {"str": str, "int": int, "float": float, "Optional[str]": str}
+
+#: A job payload's fields (the ``submit`` parameters, and each entry of
+#: ``submit_batch``'s ``jobs``), read off :class:`JobSpec`.
+JOB_PARAMS = {
+    f.name: Param(_FIELD_TYPES[str(f.type)], default=f.default) for f in fields(JobSpec)
+}
+_JOB_DEFAULTS = {name: param.default for name, param in JOB_PARAMS.items()}
+
+
+def _json_name(value: Any) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _check_types(params: Mapping[str, Param], body: dict[str, Any], what: str) -> None:
+    """Type-check ``body`` against ``params`` in place; unknown keys fail."""
+    for name, value in body.items():
+        param = params.get(name)
+        if param is None:
+            raise ProtocolError(f"unknown {what} {name!r}; valid: {sorted(params)}")
+        kind = param.type
+        if kind is float and type(value) in (int, float):
+            try:
+                value = body[name] = float(value)
+            except OverflowError:  # an integer beyond float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ProtocolError(f"{what} {name!r} must be a finite number")
+        elif type(value) is not kind and not (value is None and param.default is None):
+            raise ProtocolError(
+                f"{what} {name!r} must be {_JSON_NAMES[kind]}, got {_json_name(value)}"
+            )
+
+
+def _check_job_domain(payload: dict[str, Any]) -> None:
+    """Raise ``ProtocolError`` on a type-checked job's out-of-domain fields."""
+    job = {**_JOB_DEFAULTS, **payload}
+    if job["model_name"] not in MODEL_NAMES:
+        raise ProtocolError(
+            f"unknown model_name {job['model_name']!r}; valid: {list(MODEL_NAMES)}"
+        )
+    if job["gpus_requested"] < 1:
+        raise ProtocolError("gpus_requested must be >= 1")
+    if job["max_iterations"] < 1:
+        raise ProtocolError("max_iterations must be >= 1")
+    if not 0.0 <= job["accuracy_requirement"] <= 1.0:
+        raise ProtocolError("accuracy_requirement out of [0, 1]")
+    if job["urgency"] < 0:
+        raise ProtocolError("urgency must be >= 0")
+    if job["training_data_mb"] <= 0:
+        raise ProtocolError("training_data_mb must be positive")
+    for name in ("trace_id", "parent_span_id"):
+        if job[name] == "":
+            raise ProtocolError(f"{name} must be a non-empty string")
+
+
+def check_job(payload: Any) -> dict[str, Any]:
+    """Validate one job payload in place (types, then domain); returns it.
+
+    Int-valued ``float`` fields are widened; nothing else is added, so
+    the checked dict can be forwarded as is.
+    """
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"a job must be an object, got {_json_name(payload)}")
+    _check_types(JOB_PARAMS, payload, "job field")
+    _check_job_domain(payload)
+    return payload
+
+
+@dataclass(frozen=True, slots=True)
+class VerbSpec:
+    """One verb of the protocol, declared once for every tier and client."""
+
+    name: str
+    help: str
+    params: Mapping[str, Param] = field(default_factory=dict)
+    #: At most one of these parameters may be given.
+    exclusive: tuple[str, ...] = ()
+    tiers: tuple[str, ...] = (DAEMON, GATEWAY)
+    #: Domain check run after the type check (``submit``'s job rules).
+    check: Optional[Callable[[dict[str, Any]], None]] = None
+
+    def validate(self, body: dict[str, Any]) -> None:
+        """Check request parameters in place (raises ``ProtocolError``)."""
+        _check_types(self.params, body, f"{self.name} parameter")
+        for name, param in self.params.items():
+            if param.required and body.get(name) is None:
+                raise ProtocolError(f"{self.name} requires {name}")
+        given = [name for name in self.exclusive if body.get(name) is not None]
+        if len(given) > 1:
+            raise ProtocolError(
+                f"{self.name} accepts at most one of {list(self.exclusive)}; got {given}"
+            )
+        if self.check is not None:
+            self.check(body)
+
+    def build(self, **params: Any) -> dict[str, Any]:
+        """The checked parameters of a call; ``None`` means unset."""
+        body = {name: value for name, value in params.items() if value is not None}
+        self.validate(body)
+        return body
+
+
+_JOB_ID = {"job_id": Param(str, required=True)}
+
+#: Every verb of the protocol, by name.
+VERBS: dict[str, VerbSpec] = {
+    spec.name: spec
+    for spec in (
+        VerbSpec(
+            "submit",
+            "submit one job; admission control admits, queues or rejects it",
+            JOB_PARAMS,
+            check=_check_job_domain,
+        ),
+        VerbSpec(
+            "submit_batch",
+            "submit many jobs in one round trip; a bad job fails only its slot",
+            {"jobs": Param(list, required=True)},
+        ),
+        VerbSpec(
+            "status",
+            "status of one job, or of every known job",
+            {"job_id": Param(str)},
+        ),
+        VerbSpec("cancel", "cancel a queued or running job", _JOB_ID),
+        VerbSpec("metrics", "cluster and engine metrics summary"),
+        VerbSpec("metrics_text", "the metrics registry as Prometheus text"),
+        VerbSpec("history", "a job's event timeline, admission to completion", _JOB_ID),
+        VerbSpec(
+            "drain",
+            "stop admitting and run until every job completes",
+            {"max_rounds": Param(int, default=100_000)},
+        ),
+        VerbSpec(
+            "step",
+            "advance the scheduler without draining: passes, sim time or events",
+            {
+                "rounds": Param(int, default=1),
+                "until": Param(float),
+                "events": Param(int),
+            },
+            exclusive=("until", "events", "rounds"),
+        ),
+        VerbSpec(
+            "faultctl",
+            "show fault state, or queue a fault for the next round",
+            {
+                "action": Param(str, required=True),
+                "server_id": Param(int),
+                "gpu_id": Param(int),
+                "slowdown": Param(float, default=3.0),
+            },
+            tiers=(DAEMON,),
+        ),
+        VerbSpec("snapshot", "write a snapshot to disk now", tiers=(DAEMON,)),
+        VerbSpec("ping", "liveness probe"),
+        VerbSpec("workers", "per-partition worker liveness", tiers=(GATEWAY,)),
+        VerbSpec(
+            "gossip",
+            "poll every worker's occupancy now and return the board",
+            tiers=(GATEWAY,),
+        ),
+        VerbSpec("shutdown", "stop the server, snapshotting first when configured"),
+        VerbSpec(
+            "trace_dump",
+            "recorded spans; the gateway merges every worker's into one document",
+            {"deterministic": Param(bool, default=False), "reset": Param(bool, default=False)},
+        ),
+    )
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,6 +316,11 @@ class Request:
     id: Optional[str] = None
     params: dict[str, Any] = field(default_factory=dict)
     trace: Optional[dict[str, Any]] = None
+
+    def arg(self, name: str) -> Any:
+        """Parameter ``name``, or its declared default when unset."""
+        value = self.params.get(name)
+        return VERBS[self.op].params[name].default if value is None else value
 
     def encode(self) -> bytes:
         """Serialize to one wire line."""
@@ -257,7 +388,8 @@ def parse_request(line: bytes | str) -> Request:
     """Decode and validate one request line."""
     body = decode_line(line)
     op = body.pop("op", None)
-    if not isinstance(op, str) or op not in VERBS:
+    spec = VERBS.get(op) if isinstance(op, str) else None
+    if spec is None:
         raise ProtocolError(f"unknown op {op!r}; valid: {sorted(VERBS)}")
     request_id = body.pop("id", None)
     if request_id is not None and not isinstance(request_id, str):
@@ -265,7 +397,8 @@ def parse_request(line: bytes | str) -> Request:
     trace = body.pop("trace", None)
     if trace is not None and not isinstance(trace, dict):
         raise ProtocolError("trace must be an object")
-    return Request(op=op, id=request_id, params=body, trace=trace)
+    spec.validate(body)
+    return Request(op=spec.name, id=request_id, params=body, trace=trace)
 
 
 def parse_response(line: bytes | str) -> Response:
@@ -279,3 +412,86 @@ def parse_response(line: bytes | str) -> Response:
         result=body.get("result") or {},
         error=body.get("error"),
     )
+
+
+#: A verb handler: ``handler(server, request)`` returns the result dict.
+Handler = Callable[[Any, Request], Awaitable[dict[str, Any]]]
+
+
+class VerbHandlers:
+    """One tier's handler per verb, checked against :data:`VERBS`.
+
+    Decorate each handler with ``@handlers("verb")``, then call
+    :meth:`complete` once the class is defined: registering an
+    undeclared verb, or leaving a declared one without a handler,
+    raises while the module imports.
+    """
+
+    def __init__(self, tier: str) -> None:
+        self.tier = tier
+        self.handlers: dict[str, Handler] = {}
+
+    def __call__(self, verb: str) -> Callable[[Handler], Handler]:
+        spec = VERBS.get(verb)
+        if spec is None or self.tier not in spec.tiers or verb in self.handlers:
+            raise ProtocolError(
+                f"{self.tier} handler for {verb!r}: not a {self.tier} verb in VERBS,"
+                " or handled twice"
+            )
+
+        def register(handler: Handler) -> Handler:
+            self.handlers[verb] = handler
+            return handler
+
+        return register
+
+    def complete(self) -> None:
+        """Raise unless every verb this tier serves has a handler."""
+        missing = [
+            name
+            for name, spec in VERBS.items()
+            if self.tier in spec.tiers and name not in self.handlers
+        ]
+        if missing:
+            raise ProtocolError(f"{self.tier} serves {missing} but has no handler")
+
+    async def respond(self, server: Any, line: bytes) -> Response:
+        """Parse one request line and answer it; never raises."""
+        try:
+            request = parse_request(line)
+        except ProtocolError as exc:
+            return Response.failure(str(exc))
+        handler = self.handlers.get(request.op)
+        try:
+            if handler is None:
+                raise ProtocolError(f"the {self.tier} does not serve {request.op!r}")
+            return Response.success(await handler(server, request), id=request.id)
+        except ProtocolError as exc:
+            return Response.failure(str(exc), id=request.id)
+        except Exception as exc:  # a server must survive any verb failure
+            return Response.failure(f"internal error: {exc}", id=request.id)
+
+    async def serve(
+        self,
+        server: Any,
+        tasks: set[asyncio.Task[Any]],
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Answer one connection's request lines in order until it closes.
+
+        The connection's task joins ``tasks`` so the server can cancel
+        it on stop.
+        """
+        task = asyncio.current_task()
+        if task is not None:
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+        try:
+            while line := await reader.readline():
+                writer.write((await self.respond(server, line)).encode())
+                await writer.drain()
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            pass
+        finally:
+            writer.close()

@@ -1,10 +1,11 @@
-"""Fixture gateway: direct blocking call on the event loop (REP100).
+"""Fixture gateway: blocking calls on the event loop (REP100).
 
-Also issues ``status`` as a request-body dict literal so the protocol
-pass sees the second issuing shape.
+One sits directly in a coroutine, one in a ``def`` nested inside a
+coroutine and called from it.
 """
 
 import asyncio
+import subprocess
 import time
 
 
@@ -13,9 +14,16 @@ class GatewayDaemon:
         # REP100 true positive: time.sleep stalls every connection on
         # the shared event loop.
         time.sleep(0.05)
-        return {"op": "status", "job_id": "job-1"}
+        return {"job_id": "job-1"}
 
     async def poll_workers_offloaded(self) -> dict:
         # Clean variant: the same pause routed off-loop must not flag.
         await asyncio.sleep(0.05)
-        return {"op": "status", "job_id": "job-2"}
+        return {"job_id": "job-2"}
+
+    async def settle(self) -> None:
+        def wait_for_disk() -> None:
+            # REP100 true positive: the nested def runs on the loop.
+            subprocess.run(["sync"], check=False)
+
+        wait_for_disk()

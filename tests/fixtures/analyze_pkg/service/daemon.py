@@ -5,9 +5,6 @@ Seeds:
 * REP100 — ``SchedulerDaemon.handle_snapshot`` reaches blocking
   ``pickle.dump``/``open`` transitively through ``SchedulerService.flush``;
   a suppressed ``time.sleep`` shows the inline waiver.
-* REP101 — dispatches ``rogue`` which VERBS never declared; handles
-  ``unsent`` which no client issues; reads only ``model`` from
-  ``submit`` (the client also sends ``priority`` — drift).
 * REP102 — ``SchedulerService._lock`` (true positive),
   ``SchedulerService._handle`` (excluded in ``__getstate__``; clean),
   plus the engine/guard fields reached through the type graph.
@@ -77,16 +74,3 @@ class SchedulerDaemon:
     async def handle_pause(self) -> None:
         # Suppressed variant: waived inline, must not flag.
         time.sleep(0.01)  # repro-analyze: disable=REP100
-
-    async def dispatch(self, request) -> dict:
-        params = request.params
-        if request.op == "submit":
-            return {"model": params.get("model")}
-        if request.op == "status":
-            return {"job": params.get("job_id")}
-        if request.op == "unsent":
-            return {"ok": True}
-        if request.op == "rogue":
-            # REP101 true positive: handled but never declared in VERBS.
-            return {"rogue": True}
-        return {"error": "unknown"}

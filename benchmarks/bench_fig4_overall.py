@@ -3,9 +3,9 @@
 One bench per sub-figure of the paper's Figure 4 (and the makespan
 numbers quoted in Section 4.2.1).  All eight extract their metric from
 the same cached job-count sweep (see ``harness.run_sweep``); the first
-bench to run pays the sweep cost, which pytest-benchmark reports as its
-timing.  Run with ``pytest benchmarks/ --benchmark-only -s`` to see the
-series tables.
+bench to run pays the sweep cost.  Run with
+``pytest benchmarks/ --ignore=benchmarks/suite -s`` to see the series
+tables.
 """
 
 from harness import REAL, figure, jct_cdfs, print_figure, run_sweep
@@ -13,13 +13,13 @@ from harness import REAL, figure, jct_cdfs, print_figure, run_sweep
 from repro.analysis import cdf_at, log_spaced_points
 
 
-def test_fig4a_jct_cdf(benchmark):
+def test_fig4a_jct_cdf():
     """Fig. 4(a): CDF of JCT at the highest workload."""
 
     def build():
         return jct_cdfs(REAL)
 
-    cdfs = benchmark.pedantic(build, rounds=1, iterations=1)
+    cdfs = build()
     points = log_spaced_points(60.0, 4.0 * 3600.0, 8)
     print("\nFig 4(a) — CDF of jobs vs JCT (fraction with JCT <= t)")
     header = "scheduler".ljust(12) + "".join(f"{p/60.0:>9.0f}m" for p in points)
@@ -33,78 +33,54 @@ def test_fig4a_jct_cdf(benchmark):
     assert sum(mlfs) >= sum(fair)
 
 
-def test_fig4b_avg_jct(benchmark):
+def test_fig4b_avg_jct():
     """Fig. 4(b): average JCT vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "avg_jct_s", "Fig 4(b) avg JCT", "seconds"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "avg_jct_s", "Fig 4(b) avg JCT", "seconds")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=True)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig4c_deadline_ratio(benchmark):
+def test_fig4c_deadline_ratio():
     """Fig. 4(c): job deadline guarantee ratio vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "deadline_ratio", "Fig 4(c) deadline ratio", "ratio"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "deadline_ratio", "Fig 4(c) deadline ratio", "ratio")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=False)
     assert ranking.index("MLFS") < ranking.index("SLAQ")
 
 
-def test_fig4d_waiting_time(benchmark):
+def test_fig4d_waiting_time():
     """Fig. 4(d): average job waiting time vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "avg_wait_s", "Fig 4(d) avg waiting", "seconds"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "avg_wait_s", "Fig 4(d) avg waiting", "seconds")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=True)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig4e_average_accuracy(benchmark):
+def test_fig4e_average_accuracy():
     """Fig. 4(e): average accuracy by the deadline vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "avg_accuracy", "Fig 4(e) avg accuracy", "accuracy"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "avg_accuracy", "Fig 4(e) avg accuracy", "accuracy")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=False)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig4f_accuracy_ratio(benchmark):
+def test_fig4f_accuracy_ratio():
     """Fig. 4(f): accuracy guarantee ratio vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "accuracy_ratio", "Fig 4(f) accuracy ratio", "ratio"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "accuracy_ratio", "Fig 4(f) accuracy ratio", "ratio")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=False)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig4g_bandwidth(benchmark):
+def test_fig4g_bandwidth():
     """Fig. 4(g): total bandwidth cost vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "bandwidth_gb", "Fig 4(g) bandwidth", "GB"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "bandwidth_gb", "Fig 4(g) bandwidth", "GB")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=True)
@@ -112,13 +88,9 @@ def test_fig4g_bandwidth(benchmark):
     assert set(ranking[:3]) == {"MLFS", "MLF-RL", "MLF-H"}
 
 
-def test_fig4h_scheduler_overhead(benchmark):
+def test_fig4h_scheduler_overhead():
     """Fig. 4(h): average scheduler time overhead vs number of jobs."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "overhead_ms", "Fig 4(h) overhead", "ms"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "overhead_ms", "Fig 4(h) overhead", "ms")
     print_figure(series)
     top = max(series.xs())
     ranking = series.ranking(top, ascending=False)
@@ -126,13 +98,9 @@ def test_fig4h_scheduler_overhead(benchmark):
     assert ranking[0] == "MLFS"
 
 
-def test_fig4_makespan(benchmark):
+def test_fig4_makespan():
     """Section 4.2.1 text: makespan at every workload level."""
-    series = benchmark.pedantic(
-        lambda: figure(REAL, "makespan_s", "Fig 4 makespan", "seconds"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(REAL, "makespan_s", "Fig 4 makespan", "seconds")
     print_figure(series)
     top = max(series.xs())
     sweep = run_sweep(REAL)

@@ -11,9 +11,9 @@ from harness import SIM, figure, jct_cdfs, print_figure
 from repro.analysis import cdf_at, log_spaced_points
 
 
-def test_fig5a_jct_cdf(benchmark):
+def test_fig5a_jct_cdf():
     """Fig. 5(a): CDF of JCT at the highest workload (sim scale)."""
-    cdfs = benchmark.pedantic(lambda: jct_cdfs(SIM), rounds=1, iterations=1)
+    cdfs = jct_cdfs(SIM)
     points = log_spaced_points(60.0, 4.0 * 3600.0, 8)
     print("\nFig 5(a) — CDF of jobs vs JCT (fraction with JCT <= t)")
     for name, cdf in cdfs.items():
@@ -24,85 +24,57 @@ def test_fig5a_jct_cdf(benchmark):
     assert sum(mlfs) >= sum(fair)
 
 
-def test_fig5b_avg_jct(benchmark):
+def test_fig5b_avg_jct():
     """Fig. 5(b): average JCT vs number of jobs (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "avg_jct_s", "Fig 5(b) avg JCT", "seconds"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "avg_jct_s", "Fig 5(b) avg JCT", "seconds")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=True)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig5c_deadline_ratio(benchmark):
+def test_fig5c_deadline_ratio():
     """Fig. 5(c): deadline guarantee ratio (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "deadline_ratio", "Fig 5(c) deadline ratio", "ratio"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "deadline_ratio", "Fig 5(c) deadline ratio", "ratio")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=False)
     assert ranking.index("MLFS") < ranking.index("SLAQ")
 
 
-def test_fig5d_waiting_time(benchmark):
+def test_fig5d_waiting_time():
     """Fig. 5(d): average job waiting time (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "avg_wait_s", "Fig 5(d) avg waiting", "seconds"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "avg_wait_s", "Fig 5(d) avg waiting", "seconds")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=True)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig5e_average_accuracy(benchmark):
+def test_fig5e_average_accuracy():
     """Fig. 5(e): average accuracy by deadline (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "avg_accuracy", "Fig 5(e) avg accuracy", "accuracy"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "avg_accuracy", "Fig 5(e) avg accuracy", "accuracy")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=False)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig5f_accuracy_ratio(benchmark):
+def test_fig5f_accuracy_ratio():
     """Fig. 5(f): accuracy guarantee ratio (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "accuracy_ratio", "Fig 5(f) accuracy ratio", "ratio"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "accuracy_ratio", "Fig 5(f) accuracy ratio", "ratio")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=False)
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
-def test_fig5g_bandwidth(benchmark):
+def test_fig5g_bandwidth():
     """Fig. 5(g): total bandwidth cost (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "bandwidth_gb", "Fig 5(g) bandwidth", "GB"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "bandwidth_gb", "Fig 5(g) bandwidth", "GB")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=True)
     assert set(ranking[:3]) == {"MLFS", "MLF-RL", "MLF-H"}
 
 
-def test_fig5h_scheduler_overhead(benchmark):
+def test_fig5h_scheduler_overhead():
     """Fig. 5(h): scheduler time overhead (sim scale)."""
-    series = benchmark.pedantic(
-        lambda: figure(SIM, "overhead_ms", "Fig 5(h) overhead", "ms"),
-        rounds=1,
-        iterations=1,
-    )
+    series = figure(SIM, "overhead_ms", "Fig 5(h) overhead", "ms")
     print_figure(series)
     ranking = series.ranking(max(series.xs()), ascending=False)
     assert ranking[0] == "MLFS"

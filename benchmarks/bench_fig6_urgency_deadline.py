@@ -11,7 +11,7 @@ from harness import ablation_figure, print_figure, run_config_sweep
 from repro.api import SchedulerSpec
 
 
-def test_fig6_urgency_consideration(benchmark):
+def test_fig6_urgency_consideration():
     """Urgent-job deadline ratio, w/ vs w/o the urgency coefficient."""
 
     def run():
@@ -26,7 +26,7 @@ def test_fig6_urgency_consideration(benchmark):
             ),
         }
 
-    sweeps = benchmark.pedantic(run, rounds=1, iterations=1)
+    sweeps = run()
     series = ablation_figure(
         "Fig 6 urgent-job deadline ratio",
         "ratio",
@@ -40,7 +40,7 @@ def test_fig6_urgency_consideration(benchmark):
     )
 
 
-def test_fig6_deadline_consideration(benchmark):
+def test_fig6_deadline_consideration():
     """Overall deadline ratio, w/ vs w/o the Eq. 4 deadline term."""
 
     def run():
@@ -55,7 +55,7 @@ def test_fig6_deadline_consideration(benchmark):
             ),
         }
 
-    sweeps = benchmark.pedantic(run, rounds=1, iterations=1)
+    sweeps = run()
     series = ablation_figure(
         "Fig 6 overall deadline ratio", "ratio", "deadline_ratio", sweeps
     )

@@ -23,18 +23,18 @@ def _sweeps():
     }
 
 
-def test_fig7_bandwidth_cost(benchmark):
+def test_fig7_bandwidth_cost():
     """Total bandwidth with vs without the bandwidth term (left Y)."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 7 bandwidth cost", "GB", "bandwidth_gb", sweeps)
     print_figure(series)
     top = max(series.xs())
     assert series.data["w/ bandwidth"][top] < series.data["w/o bandwidth"][top]
 
 
-def test_fig7_jct(benchmark):
+def test_fig7_jct():
     """Average JCT with vs without the bandwidth term (right Y)."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 7 avg JCT", "seconds", "avg_jct_s", sweeps)
     print_figure(series)
     top = max(series.xs())

@@ -25,9 +25,9 @@ def _sweeps():
     }
 
 
-def test_fig8a_overload_occurrences(benchmark):
+def test_fig8a_overload_occurrences():
     """Fig. 8(a) left Y: server-overload occurrences."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure(
         "Fig 8(a) overload occurrences", "count", "overload_occurrences", sweeps
     )
@@ -36,9 +36,9 @@ def test_fig8a_overload_occurrences(benchmark):
     assert series.data["w/ migration"][top] <= series.data["w/o migration"][top]
 
 
-def test_fig8a_bandwidth(benchmark):
+def test_fig8a_bandwidth():
     """Fig. 8(a) right Y: bandwidth cost (migration adds traffic)."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 8(a) bandwidth", "GB", "bandwidth_gb", sweeps)
     print_figure(series)
     top = max(series.xs())
@@ -46,9 +46,9 @@ def test_fig8a_bandwidth(benchmark):
     assert migrations[top]["migrations"] > 0
 
 
-def test_fig8b_accuracy(benchmark):
+def test_fig8b_accuracy():
     """Fig. 8(b) left Y: average accuracy by deadline."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 8(b) avg accuracy", "accuracy", "avg_accuracy", sweeps)
     print_figure(series)
     top = max(series.xs())
@@ -58,9 +58,9 @@ def test_fig8b_accuracy(benchmark):
     )
 
 
-def test_fig8b_jct(benchmark):
+def test_fig8b_jct():
     """Fig. 8(b) right Y: average JCT."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 8(b) avg JCT", "seconds", "avg_jct_s", sweeps)
     print_figure(series)
     top = max(series.xs())

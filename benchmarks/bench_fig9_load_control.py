@@ -22,9 +22,9 @@ def _sweeps():
     }
 
 
-def test_fig9_accuracy_guarantee(benchmark):
+def test_fig9_accuracy_guarantee():
     """Left Y: accuracy guarantee ratio with vs without MLF-C."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure(
         "Fig 9 accuracy guarantee ratio", "ratio", "accuracy_ratio", sweeps
     )
@@ -33,9 +33,9 @@ def test_fig9_accuracy_guarantee(benchmark):
     assert series.data["w/ MLF-C"][top] >= series.data["w/o MLF-C"][top] - 0.05
 
 
-def test_fig9_jct(benchmark):
+def test_fig9_jct():
     """Right Y: average JCT with vs without MLF-C."""
-    sweeps = benchmark.pedantic(_sweeps, rounds=1, iterations=1)
+    sweeps = _sweeps()
     series = ablation_figure("Fig 9 avg JCT", "seconds", "avg_jct_s", sweeps)
     print_figure(series)
     top = max(series.xs())

@@ -24,7 +24,7 @@ def _run(config: dict) -> dict:
     return api.run(spec)["summary"]
 
 
-def test_alpha_sensitivity(benchmark):
+def test_alpha_sensitivity():
     """Eq. 6 blend weight α ∈ {0, 0.3, 0.7, 1.0}."""
 
     def run():
@@ -34,13 +34,13 @@ def test_alpha_sensitivity(benchmark):
             rows.append([alpha, summary["avg_jct_s"], summary["avg_accuracy"]])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\n" + format_table(["alpha", "avg_jct_s", "avg_accuracy"], rows))
     assert len(rows) == 4
     assert all(jct > 0 for _a, jct, _acc in rows)
 
 
-def test_gamma_sensitivity(benchmark):
+def test_gamma_sensitivity():
     """Dependency discount γ ∈ {0.2, 0.5, 0.8, 0.95}."""
 
     def run():
@@ -50,12 +50,12 @@ def test_gamma_sensitivity(benchmark):
             rows.append([gamma, summary["avg_jct_s"], summary["deadline_ratio"]])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\n" + format_table(["gamma", "avg_jct_s", "deadline_ratio"], rows))
     assert len(rows) == 4
 
 
-def test_ps_fraction_sensitivity(benchmark):
+def test_ps_fraction_sensitivity():
     """Migration-candidate fraction p_s ∈ {0.05, 0.1, 0.3, 1.0}."""
 
     def run():
@@ -65,12 +65,12 @@ def test_ps_fraction_sensitivity(benchmark):
             rows.append([ps, summary["avg_jct_s"], summary["migrations"]])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\n" + format_table(["p_s", "avg_jct_s", "migrations"], rows))
     assert len(rows) == 4
 
 
-def test_overload_threshold_sensitivity(benchmark):
+def test_overload_threshold_sensitivity():
     """Overload threshold h_r ∈ {0.7, 0.8, 0.9, 0.99}."""
 
     def run():
@@ -82,6 +82,6 @@ def test_overload_threshold_sensitivity(benchmark):
             rows.append([hr, summary["avg_jct_s"], summary["overload_occurrences"]])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\n" + format_table(["h_r", "avg_jct_s", "overloads"], rows))
     assert len(rows) == 4

@@ -95,7 +95,7 @@ class GangScheduler(Scheduler):
         reconcile state here, before preemption and admission read it.
         Implementations must be provable no-ops on a pass where every
         active job is fully placed with up-to-date bookkeeping —
-        otherwise the policy cannot declare ``event_parkable``.
+        otherwise skipping that pass (parking) would change outcomes.
         """
 
     def note_admitted(self, job: Job, ctx: SchedulingContext) -> None:

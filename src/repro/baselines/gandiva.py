@@ -14,7 +14,7 @@ Rotation is *sliced*: the de-fragmentation scan runs every
 (Gandiva's minute-granularity time-slicing, expressed in pass units so
 the counter is pure integers).  Because the clock is pass-indexed and
 the per-GPU threshold is exposed to the engine through :meth:`can_park`,
-Gandiva declares ``event_parkable``: skipped passes are replayed through
+Gandiva parks bit-identically: skipped passes are replayed through
 :meth:`accrue` and a hot GPU vetoes parking so no due migration is ever
 skipped (DESIGN.md §15.7).
 """
@@ -42,11 +42,6 @@ class GandivaScheduler(GangScheduler):
     #: every pass, the pre-slice behavior).
     slice_passes: int = 1
     _clock: PassClock = field(init=False)
-
-    # Safe to park: the rotation clock advances analytically through
-    # ``accrue`` and ``can_park`` vetoes any gap that could owe a
-    # migration.  (Class attribute on purpose, not a dataclass field.)
-    event_parkable = True
 
     def __post_init__(self) -> None:
         self._clock = PassClock(max(1, self.slice_passes))

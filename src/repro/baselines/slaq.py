@@ -19,8 +19,8 @@ Two pieces of clocked state back that description:
 
 The epoch clock advances analytically across parked gaps through
 :meth:`accrue`; the EWMA is driven purely by iteration events, which
-fire identically under both pass policies — so SLAQ declares
-``event_parkable`` with bit-identical outcomes (DESIGN.md §15.7).
+fire identically under both pass policies — so SLAQ parks with
+bit-identical outcomes (DESIGN.md §15.7).
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ class SLAQScheduler(GangScheduler):
     #: Last iteration-completion time per job (rate denominator).
     _last_iteration_at: dict[str, float] = field(default_factory=dict)
     _clock: PassClock = field(init=False)
-
-    # The epoch clock is replayed by ``accrue`` and the EWMA only moves
-    # on iteration events, so a skipped pass is a provable no-op.
-    # (Class attribute on purpose, not a dataclass field.)
-    event_parkable = True
 
     def __post_init__(self) -> None:
         self._clock = PassClock(max(1, self.epoch_passes))

@@ -17,8 +17,8 @@ the job is evicted, killed or completes, and the open remainder is the
 closed form ``(now - stint_start) * gpus``.  No per-pass accumulation
 ever happens, so the counters are a pure function of simulation time
 and of events that fire in both pass policies — which is what lets
-Tiresias declare ``event_parkable`` with bit-identical outcomes to the
-fixed cadence (DESIGN.md §15.7).
+Tiresias park with bit-identical outcomes to the fixed cadence
+(DESIGN.md §15.7).
 """
 
 from __future__ import annotations
@@ -56,14 +56,6 @@ class TiresiasScheduler(GangScheduler):
     _service: dict[str, float] = field(default_factory=dict)
     #: Open stint start time per running job (absent = no open stint).
     _stint_since: dict[str, float] = field(default_factory=dict)
-
-    # Stints open/close only at moments shared by both pass policies
-    # (gang emission, eviction emission, fault reconciliation on a
-    # non-skippable pass, job completion), and reads are closed-form in
-    # ``now`` — a parked gap needs no accrual at all, so the inherited
-    # no-op ``accrue()`` is the correct implementation.  Un-annotated on
-    # purpose: a class attribute, not a dataclass field.
-    event_parkable = True
 
     # -- attained-service bookkeeping -----------------------------------------
 

@@ -129,7 +129,6 @@ class AnalyzerConfig:
     taint_sink_calls: tuple[str, ...] = (
         "derive_trace_id",
         "derive_span_id",
-        "round_record",
         "pass_record",
     )
     #: Class names whose constructor arguments are taint sinks.

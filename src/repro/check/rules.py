@@ -207,7 +207,7 @@ REGISTRY: dict[str, RuleInfo] = {
             " assignments and calls — silently breaks golden traces and"
             " digest-keyed sweep caching. The analyzer taints entropy"
             " sources and follows the flow through the call graph.",
-            scope="flows into hashlib digests, round_record/TelemetryExporter"
+            scope="flows into hashlib digests, pass_record/TelemetryExporter"
             ".emit, derive_trace_id/derive_span_id/TraceContext",
             disable=_analyze_disable("REP103"),
         ),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import ResourceKind, ResourceVector
 from repro.cluster.server import DEFAULT_SERVER_CAPACITY, Server
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,3 +145,47 @@ def mean_utilization(servers: Iterable[Server]) -> ResourceVector:
     for server in servers:
         total = total + server.utilization()
     return total * (1.0 / len(servers))
+
+
+
+def capacity_bounds(cluster: Cluster) -> tuple[ResourceVector, ResourceVector]:
+    """Element-wise sum and maximum of every server's capacity.
+
+    Failed servers count: faults only flag hardware, so the bounds hold
+    for the cluster's lifetime.
+    """
+    total = largest = ResourceVector.zeros()
+    for server in cluster.servers:
+        total = total + server.capacity
+        largest = largest.element_max(server.capacity)
+    return total, largest
+
+
+def infeasible_reason(
+    tasks: Iterable["Task"],
+    bounds: tuple[ResourceVector, ResourceVector],
+    threshold: float,
+) -> Optional[str]:
+    """Why a job's tasks can never all be placed, or ``None``.
+
+    Placement keeps every server at or under ``threshold`` of its
+    capacity (Section 3.3.2) and a job iterates only once its whole gang
+    is placed, so the job can never run when, for some resource, its
+    summed task ``demand`` exceeds ``threshold`` × the total capacity,
+    or one task's ``demand`` exceeds ``threshold`` × the largest server
+    (``bounds`` is :func:`capacity_bounds`).  A job that lacks room only
+    while servers are down must wait, so it is not rejected.
+    """
+    columns = list(zip(*(task.demand.as_tuple() for task in tasks)))
+    if not columns:
+        return None
+    summed = [sum(column) for column in columns]
+    widest = [max(column) for column in columns]
+    checks = (("", summed, bounds[0]), ("one task's ", widest, bounds[1]))
+    for what, need, have in checks:
+        for kind, amount, capacity in zip(ResourceKind, need, have):
+            limit = threshold * capacity
+            if capacity and amount > limit + 1e-9:
+                amounts = f"{round(amount, 3)} > {round(limit, 3)}"
+                return f"infeasible: {what}{kind.name.lower()} {amounts}"
+    return None

@@ -129,13 +129,6 @@ class MLFHScheduler(Scheduler):
     recorder: Optional[DecisionRecorder] = None
     name: str = "MLF-H"
 
-    # MLF-H only places queued tasks, migrates out of overloaded servers
-    # and preempts to admit higher-priority queued tasks — with an empty
-    # queue and no overload its decision is always empty, so the
-    # event-driven engine may skip those passes (un-annotated on purpose:
-    # a class attribute, not a dataclass field).
-    event_parkable = True
-
     calculator: PriorityCalculator = field(init=False)
     placement: PlacementEngine = field(init=False)
     migration: MigrationSelector = field(init=False)

@@ -72,12 +72,6 @@ class MLFRLScheduler(Scheduler):
     epoch_seconds: float = 1800.0
     name: str = "MLF-RL"
 
-    # Same action space as MLF-H (placements/migrations/evictions, no
-    # stops, no time-slicing): an empty queue with no overload yields an
-    # empty decision, so event-driven passes may park (class attribute,
-    # not a dataclass field — deliberately un-annotated).
-    event_parkable = True
-
     calculator: PriorityCalculator = field(init=False)
     placement: PlacementEngine = field(init=False)
     migration: MigrationSelector = field(init=False)

@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cluster.cluster import Cluster
 from repro.core.config import MLFSConfig
 from repro.core.mlf_c import MLFCController
 from repro.core.mlf_h import BufferRecorder, MLFHScheduler
@@ -106,6 +107,12 @@ class MLFSScheduler(Scheduler):
         decision = engine.on_schedule(ctx)
         decision.stops.extend(stops)
         return decision
+
+    def can_park(self, cluster: Cluster) -> bool:
+        """MLF-C evaluates OptStop on every pass (Section 3.5), so a
+        skipped pass could move a stop decision; without it MLFS parks
+        like MLF-H."""
+        return not self.config.enable_load_control
 
     def on_job_complete(self, job: Job, now: float) -> None:
         self.heuristic.on_job_complete(job, now)

@@ -42,7 +42,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.timeline import TimelineEvent, TimelineRecorder
-from repro.obs.tracing import NullTracer, Tracer
+from repro.obs.tracing import NULL_SPAN, NullSpan, NullTracer, Tracer
 
 __all__ = [
     "Observer",
@@ -55,21 +55,6 @@ __all__ = [
 ]
 
 
-class _NullSpan:
-    """Shared no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullObserver:
     """The do-nothing observer (default everywhere)."""
 
@@ -78,9 +63,9 @@ class NullObserver:
     timeline: Optional[TimelineRecorder] = None
     tracer = NullTracer()
 
-    def span(self, name: str, **args: Any) -> _NullSpan:
+    def span(self, name: str, **args: Any) -> NullSpan:
         """No-op span."""
-        return _NULL_SPAN
+        return NULL_SPAN
 
     def job_event(self, job_id: str, event: str, time: float, **fields: Any) -> None:
         """No-op."""
@@ -180,6 +165,11 @@ class Observer:
         self.fault_kills_total = reg.counter(
             "mlfs_fault_task_kills_total", "Tasks killed by injected faults."
         )
+        self.rejections_total = reg.counter(
+            "mlfs_job_rejections_total",
+            "Jobs rejected at arrival, by reason.",
+            labels=("reason",),
+        )
         self.failed_servers = reg.gauge(
             "mlfs_failed_servers", "Servers currently down (fault injection)."
         )
@@ -259,6 +249,8 @@ class Observer:
             self.fault_kills_total.inc()
         elif event == "submitted":
             self.arrivals_total.inc()
+        elif event == "rejected":
+            self.rejections_total.labels((detail or "").split(":")[0]).inc()
         elif event in ("completed", "stopped"):
             self.completions_total.inc()
             if event == "stopped":

@@ -97,19 +97,20 @@ class SpanRecord:
         )
 
 
-class _NullTracerSpan:
-    """Shared no-op span (the NullTracer's)."""
+class NullSpan:
+    """The one no-op span, shared by :class:`NullTracer` and
+    :class:`~repro.obs.observer.NullObserver`."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullTracerSpan":
+    def __enter__(self) -> "NullSpan":
         return self
 
     def __exit__(self, *exc_info: Any) -> bool:
         return False
 
 
-_NULL_TRACER_SPAN = _NullTracerSpan()
+NULL_SPAN = NullSpan()
 
 
 class _TracerSpan:
@@ -314,8 +315,8 @@ class NullTracer:
         epoch: float = 0.0,
         ctx: Optional[TraceContext] = None,
         **args: Any,
-    ) -> _NullTracerSpan:
-        return _NULL_TRACER_SPAN
+    ) -> NullSpan:
+        return NULL_SPAN
 
     def chrome_events(self, pid: int = 1, tid: int = 1) -> list[dict[str, Any]]:
         return []

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, infeasible_reason
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_KINDS, FaultEvent, load_plan
 from repro.schedulers import scheduler_by_name
@@ -58,7 +58,6 @@ from repro.service.telemetry import (
     RunningJctStats,
     TelemetryExporter,
     pass_record,
-    round_record,
 )
 from repro.sim.engine import EngineConfig, PassResult, SimulationEngine
 from repro.sim.interface import Scheduler
@@ -109,10 +108,9 @@ class ServiceConfig:
     #: families so same-seed runs emit bit-identical JSONL — the
     #: gateway's per-partition determinism contract), or ``"none"``.
     telemetry_obs: str = "full"
-    #: Scheduling-pass cadence of the embedded engine: ``"fixed"``
-    #: (legacy, a pass every ``tick_seconds``) or ``"event"`` (passes
-    #: park while provably no-op; event mode also switches telemetry to
-    #: the v2 ``pass_record`` schema keyed by sim time).
+    #: Scheduling-pass cadence of the embedded engine: ``"fixed"`` (a
+    #: pass every ``tick_seconds``) or ``"event"`` (passes park while
+    #: provably no-op).  Telemetry is the v2 ``pass_record`` either way.
     pass_policy: str = "fixed"
 
 
@@ -248,6 +246,14 @@ class SchedulerService:
             raise ProtocolError(f"duplicate job_id {job_id!r}")
         self._submissions += 1
         job = self._build_job(job_id, spec)
+        reason = infeasible_reason(
+            job.tasks, self.engine.capacity, self.engine.config.overload_threshold
+        )
+        if reason is not None:
+            self._registry[job_id] = {"spec": spec, "job": None, "state": "rejected"}
+            self._submissions_total.labels("rejected").inc()
+            self.engine.reject_job(job, reason)
+            return {"job_id": job_id, "status": "rejected", "reason": reason}
         decision = self.admission.check(self.engine.cluster)
         entry = {"spec": spec, "job": job, "state": decision.value}
         self._registry[job_id] = entry
@@ -308,15 +314,7 @@ class SchedulerService:
         self._admission_queue_gauge.set(self.admission.queue_depth)
         self._overload_smoothed_gauge.set(self.admission.tracker.value)
         if result.ticked or result.events_processed:
-            # Event mode emits the v2 schema (keyed by sim time);
-            # fixed mode keeps the v1 records the golden traces and
-            # the gateway determinism contract pin.
-            builder = (
-                pass_record
-                if self.engine.config.pass_policy == "event"
-                else round_record
-            )
-            record = builder(
+            record = pass_record(
                 result,
                 self.engine.metrics,
                 admission_queue_depth=self.admission.queue_depth,

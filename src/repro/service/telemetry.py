@@ -1,7 +1,7 @@
-"""Per-round telemetry export as JSON lines.
+"""Per-pass telemetry export as JSON lines.
 
-Each scheduler round the daemon emits one structured record describing
-the round: queue depths, cluster overload degree, scheduling actions
+Each scheduling pass the daemon emits one structured record describing
+the pass: queue depths, cluster overload degree, scheduling actions
 (placements / migrations / evictions), completions, and running JCT
 percentiles.  The format is append-only JSONL so a crash loses at most
 the current line, and the records feed directly into the existing
@@ -21,13 +21,11 @@ from repro.analysis.cdf import percentile_sorted
 from repro.sim.engine import PassResult
 from repro.sim.metrics import SimulationMetrics
 
-#: Telemetry format revision (stamped into every record).
-TELEMETRY_VERSION = 1
+#: Telemetry format revision (stamped into every record).  Revision 1
+#: keyed records by ``round``; readers still accept it.
+RECORD_VERSION = 2
 
-#: Revision of the event-mode (pass-keyed) record schema.
-PASS_TELEMETRY_VERSION = 2
-
-#: JCT percentiles reported each round.
+#: JCT percentiles reported each pass.
 JCT_PERCENTILES = (50.0, 95.0, 99.0)
 
 
@@ -70,25 +68,32 @@ class RunningJctStats:
         return len(self._sorted)
 
 
-def round_record(
+def pass_record(
     result: PassResult,
     metrics: SimulationMetrics,
     admission_queue_depth: int = 0,
     overload_smoothed: Optional[float] = None,
     jct_stats: Optional[RunningJctStats] = None,
 ) -> dict[str, Any]:
-    """Build one telemetry record from a round result and the metrics.
+    """Build one telemetry record from a pass result and the metrics.
+
+    ``v`` is :data:`RECORD_VERSION`; the pass counter lives under
+    ``pass_index`` and ``events_processed`` reports how many simulator
+    events the pass consumed.  Readers (:func:`summarize_telemetry`,
+    :mod:`repro.analysis.telemetry`) also accept the retired v1 records,
+    which carried the counter as ``round``.
 
     ``jct_stats`` is the hot-path option: a caller-owned
     :class:`RunningJctStats` makes the percentile block incremental
-    instead of sorting every completed job's JCT again each round.
+    instead of sorting every completed job's JCT again each pass.
     """
     if jct_stats is None:
         jct_stats = RunningJctStats()
     jct_stats.sync(metrics)
     record: dict[str, Any] = {
-        "v": TELEMETRY_VERSION,
-        "round": result.pass_index,
+        "v": RECORD_VERSION,
+        "pass_index": result.pass_index,
+        "events_processed": result.events_processed,
         "sim_time": result.sim_time,
         "queue_depth": result.queue_depth,
         "admission_queue_depth": admission_queue_depth,
@@ -112,37 +117,6 @@ def round_record(
         record["overload_smoothed"] = overload_smoothed
     for q in JCT_PERCENTILES:
         record[f"jct_p{int(q)}"] = jct_stats.percentile(q) if len(jct_stats) else 0.0
-    return record
-
-
-def pass_record(
-    result: PassResult,
-    metrics: SimulationMetrics,
-    admission_queue_depth: int = 0,
-    overload_smoothed: Optional[float] = None,
-    jct_stats: Optional[RunningJctStats] = None,
-) -> dict[str, Any]:
-    """The v2 (event-mode) telemetry record, keyed by sim time.
-
-    Same measurement surface as :func:`round_record` but a pass-centric
-    header: ``v`` is :data:`PASS_TELEMETRY_VERSION`, the pass counter
-    lives under ``pass_index`` (no ``round`` key), and
-    ``events_processed`` reports how many simulator events the pass
-    consumed.  Readers (:func:`summarize_telemetry`,
-    :mod:`repro.analysis.telemetry`) accept both schemas; see
-    DESIGN.md §15 for the migration window.
-    """
-    record = round_record(
-        result,
-        metrics,
-        admission_queue_depth=admission_queue_depth,
-        overload_smoothed=overload_smoothed,
-        jct_stats=jct_stats,
-    )
-    del record["round"]
-    record["v"] = PASS_TELEMETRY_VERSION
-    record["pass_index"] = result.pass_index
-    record["events_processed"] = result.events_processed
     return record
 
 

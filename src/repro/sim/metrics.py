@@ -70,6 +70,9 @@ class SimulationMetrics:
     tasks_killed: int = 0
     iterations_lost: int = 0
     scheduler_overhead_seconds: list[float] = field(default_factory=list)
+    #: Jobs rejected at arrival as never placeable: ``job_id -> reason``.
+    #: They have no :class:`JobRecord` and hence no JCT.
+    rejected: dict[str, str] = field(default_factory=dict)
     first_arrival: Optional[float] = None
     last_completion: Optional[float] = None
 
@@ -179,6 +182,7 @@ class SimulationMetrics:
         """All headline aggregates in one dict (for tables and tests)."""
         return {
             "jobs": float(len(self.job_records)),
+            "jobs_rejected": float(len(self.rejected)),
             "avg_jct_s": self.average_jct(),
             "makespan_s": self.makespan(),
             "deadline_ratio": self.deadline_guarantee_ratio(),

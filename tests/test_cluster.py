@@ -1,5 +1,7 @@
 """Unit tests for GPU, Server and Cluster accounting."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import (
@@ -11,6 +13,7 @@ from repro.cluster import (
     Server,
     mean_utilization,
 )
+from repro.cluster.cluster import capacity_bounds, infeasible_reason
 from tests.conftest import make_job
 
 
@@ -191,3 +194,33 @@ class TestCluster:
 
     def test_cluster_utilization_length(self, small_cluster):
         assert len(small_cluster.cluster_utilization()) == 4
+
+
+class TestFeasibility:
+    def test_fitting_job_is_feasible(self):
+        capacity = capacity_bounds(Cluster.build(4, 4))
+        assert infeasible_reason(make_job(gpus=4).tasks, capacity, 0.9) is None
+
+    def test_summed_demand_over_total_capacity(self):
+        capacity = capacity_bounds(Cluster.build(4, 4))
+        job = make_job(gpus=32, model="svm")  # 32 tasks x 4 cores
+        assert infeasible_reason(job.tasks, capacity, 0.9) == (
+            "infeasible: cpu 128.0 > 115.2"
+        )
+
+    def test_one_task_over_the_largest_server(self):
+        capacity = capacity_bounds(Cluster.build(4, 4))
+        task = SimpleNamespace(demand=ResourceVector(cpu=30.0))
+        assert infeasible_reason([task], capacity, 0.9) == (
+            "infeasible: one task's cpu 30.0 > 28.8"
+        )
+
+    def test_failed_servers_still_count(self):
+        cluster = Cluster.build(4, 4)
+        healthy = capacity_bounds(cluster)
+        for server in cluster.servers[1:]:
+            server.failed = True
+        assert capacity_bounds(cluster) == healthy
+        # Needs more than the one live server: it must wait, not be rejected.
+        job = make_job(gpus=16, model="svm")
+        assert infeasible_reason(job.tasks, healthy, 0.9) is None

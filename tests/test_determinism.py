@@ -12,7 +12,7 @@ import json
 
 from repro.cluster import Cluster
 from repro.core import make_mlf_h
-from repro.service.telemetry import RunningJctStats, round_record
+from repro.service.telemetry import RunningJctStats, pass_record
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workload import build_jobs, generate_trace
 
@@ -36,7 +36,7 @@ def run_once(seed: int) -> tuple[list[str], list, list]:
     while True:
         result = engine.advance()
         rounds.append(result)
-        record = round_record(result, engine.metrics, jct_stats=stats)
+        record = pass_record(result, engine.metrics, jct_stats=stats)
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         if result.drained or result.events_processed == 0:
             break

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.obs import Observer
 from repro.sim import (
     EngineConfig,
     Eviction,
@@ -221,3 +222,28 @@ class TestStallGuard:
         # The stall guard must have evicted the lone placed task.
         if len(job.tasks) > 1:
             assert engine.metrics.num_evictions >= 1
+
+
+class TestInfeasibleJobs:
+    def test_never_placeable_job_is_rejected_at_arrival(self):
+        jobs = [
+            make_job(job_id="fits", gpus=4, iterations=3),
+            make_job(job_id="huge", arrival=60.0, gpus=32, model="svm"),
+        ]
+        observer = Observer()
+        engine = SimulationEngine(
+            PlaceAllScheduler(), jobs, Cluster.build(4, 4), observer=observer
+        )
+        metrics = engine.run()
+        assert metrics.rejected == {"huge": "infeasible: cpu 128.0 > 115.2"}
+        # Counted apart: no record, so no JCT, and no spin to max_time.
+        assert [r.job_id for r in metrics.job_records] == ["fits"]
+        assert metrics.summary()["jobs_rejected"] == 1.0
+        assert engine.now < 24 * 3600.0
+        (event,) = observer.timeline.history("huge")
+        assert (event["event"], event["detail"]) == (
+            "rejected",
+            "infeasible: cpu 128.0 > 115.2",
+        )
+        snapshot = observer.registry.scalar_snapshot()
+        assert snapshot['mlfs_job_rejections_total{reason="infeasible"}'] == 1.0

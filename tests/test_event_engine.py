@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FIFOScheduler
 from repro.cluster import Cluster
 from repro.core import make_mlf_h
 from repro.faults import FaultEvent, FaultPlan
@@ -74,26 +73,6 @@ class TestEventEquivalence:
         fixed.run()
         event.run()
         assert event.pass_index < fixed.pass_index
-
-    def test_non_parkable_scheduler_behaves_like_fixed(self):
-        # FIFO does not declare ``event_parkable``, so the event policy
-        # must not skip any pass for it.
-        def run(policy):
-            records = generate_trace(8, duration_seconds=1800.0, seed=3)
-            jobs = build_jobs(records, seed=4)
-            engine = SimulationEngine(
-                FIFOScheduler(),
-                jobs,
-                Cluster.build(3, 4),
-                EngineConfig(max_time=WEEK, pass_policy=policy),
-            )
-            metrics = engine.run()
-            return engine.pass_index, job_tuples(metrics)
-
-        fixed_passes, fixed_jobs = run("fixed")
-        event_passes, event_jobs = run("event")
-        assert event_passes == fixed_passes
-        assert event_jobs == fixed_jobs
 
     def test_event_matches_fixed_under_faults(self):
         # Armed fault events must unpark the pass timer: a crash during
@@ -273,6 +252,10 @@ class TestMidHeapSnapshot:
         )
         baseline = build_engine("event", num_jobs=12, seed=9, faults=plan)
         expected = job_tuples(baseline.run())
+        # Job j3 (33 svm tasks, 130 CPU cores on a 128-core cluster) can
+        # never be placed: it is rejected at arrival instead of spinning
+        # the engine to ``max_time``.
+        assert list(baseline.metrics.rejected) == ["j3"]
 
         engine = build_engine("event", num_jobs=12, seed=9, faults=plan)
         engine.start()
@@ -363,12 +346,13 @@ class TestDaemonStepModes:
                 with pytest.raises(ServiceError):
                     client.call("step", until=60.0, events=5)
 
-    def test_event_policy_daemon_emits_v2_telemetry(self, tmp_path):
+    @pytest.mark.parametrize("pass_policy", ["fixed", "event"])
+    def test_daemon_emits_v2_telemetry(self, tmp_path, pass_policy):
         telemetry_path = tmp_path / "telemetry.jsonl"
         config = _daemon_config(
             tmp_path,
             telemetry_path=str(telemetry_path),
-            pass_policy="event",
+            pass_policy=pass_policy,
         )
         core = SchedulerService(config)
         core.submit(JobSpec(model_name="svm", gpus_requested=1, max_iterations=3))

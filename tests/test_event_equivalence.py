@@ -11,15 +11,16 @@ bit-identical telemetry under ``pass_policy="event"`` and the fixed
 * ``faulted`` — sparse plus an armed :class:`FaultPlan`: pending fault
   rounds must unpark the pass timer on schedule.
 
-For the five parkable policies the harness additionally proves that a
-mid-run snapshot taken *at a parked gap* restores and resumes to the
-exact fixed-cadence outcome, and that parking genuinely engages on the
-sparse shape (fewer passes executed) — without that check the identity
-assertions would pass vacuously.
+Every policy parks unless its ``can_park`` vetoes; of the registry only
+MLFS with MLF-C on does (OptStop runs on every pass).  For every other
+policy the harness additionally proves that a mid-run snapshot taken *at
+a parked gap* restores and resumes to the exact fixed-cadence outcome,
+and that parking genuinely engages on the sparse shape (fewer passes
+executed) — without that check the identity assertions would pass
+vacuously.  MLFS with MLF-C on must run the fixed pass count; with
+MLF-C off it parks, and its MLF-H→MLF-RL switch still fires identically.
 
-Also here: the regression test for the hoisted ``event_parkable`` read
-(flipping the flag mid-run must change nothing — the engine reads it
-once at construction), and unit tests for the integer
+Also here: unit tests for the integer
 :class:`~repro.sim.clock.PassClock` that backs Gandiva's slice rotation
 and SLAQ's epoch (``advance(n)`` must equal n explicit ticks).
 
@@ -35,6 +36,9 @@ import pickle
 import pytest
 
 from repro.cluster import Cluster
+from repro.core import make_mlfs
+from repro.core.config import MLFSConfig
+from repro.core.mlfs import Phase
 from repro.faults import FaultEvent, FaultPlan
 from repro.schedulers import SCHEDULER_FACTORIES, build_scheduler
 from repro.sim import EngineConfig, SimulationEngine
@@ -45,10 +49,9 @@ from repro.workload.synthetic import PhillyLikeTraceGenerator, sparse_trace_conf
 WEEK = 7 * 24 * 3600.0
 
 ALL_POLICIES = sorted(SCHEDULER_FACTORIES)
+#: Policies whose ``can_park`` does not veto on an idle cluster.
 PARKABLE = sorted(
-    name
-    for name in SCHEDULER_FACTORIES
-    if getattr(build_scheduler(name), "event_parkable", False)
+    name for name in ALL_POLICIES if build_scheduler(name).can_park(Cluster.build(1))
 )
 
 FAULT_PLAN = FaultPlan(
@@ -68,16 +71,16 @@ WORKLOADS = {
 }
 
 
-def build(policy_name, workload, pass_policy):
+def build(policy, workload, pass_policy):
+    """An engine for a registry name (or a scheduler instance)."""
     num_jobs, duration, seed, faults = WORKLOADS[workload]
     records = generate_trace(num_jobs, duration_seconds=duration, seed=seed)
     jobs = build_jobs(records, seed=seed + 1)
     cluster = Cluster.build(4, 4)
     config = EngineConfig(max_time=WEEK, seed=seed + 2, pass_policy=pass_policy)
     kwargs = {"faults": faults} if faults is not None else {}
-    return SimulationEngine(
-        build_scheduler(policy_name), jobs, cluster, config, **kwargs
-    )
+    scheduler = build_scheduler(policy) if isinstance(policy, str) else policy
+    return SimulationEngine(scheduler, jobs, cluster, config, **kwargs)
 
 
 def signature(metrics):
@@ -139,10 +142,35 @@ class TestCrossPolicyEquivalence:
         event.run()
         assert event.pass_index < fixed.pass_index
 
-    def test_all_five_baseline_policies_are_parkable(self):
-        """The ISSUE's acceptance bar: MLF-H, MLF-RL, Tiresias, Gandiva
-        and SLAQ all declare ``event_parkable``."""
-        assert {"MLF-H", "MLF-RL", "Tiresias", "Gandiva", "SLAQ"} <= set(PARKABLE)
+    def test_only_mlfs_with_load_control_vetoes(self):
+        assert set(ALL_POLICIES) - set(PARKABLE) == {"MLFS"}
+        assert build_scheduler("MLFS").config.enable_load_control
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_mlfs_with_load_control_runs_the_fixed_pass_count(self, workload):
+        fixed = build("MLFS", workload, "fixed")
+        event = build("MLFS", workload, "event")
+        assert signature(fixed.run()) == signature(event.run())
+        assert event.pass_index == fixed.pass_index
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_mlfs_without_load_control_parks_through_its_phase_switch(self, workload):
+        """MLF-C off: MLFS parks, switches MLF-H→MLF-RL after 10
+        recorded decisions, and matches the fixed cadence bit for bit."""
+        engines = {
+            pass_policy: build(
+                make_mlfs(
+                    config=MLFSConfig(enable_load_control=False, rl_switch_decisions=10)
+                ),
+                workload,
+                pass_policy,
+            )
+            for pass_policy in ("fixed", "event")
+        }
+        fixed, event = engines["fixed"], engines["event"]
+        assert signature(fixed.run()) == signature(event.run())
+        assert fixed.scheduler.phase is event.scheduler.phase is Phase.RL
+        assert event.pass_index < fixed.pass_index
 
 
     @pytest.mark.slow
@@ -194,42 +222,6 @@ class TestSnapshotAtParkedGap:
         restored = pickle.loads(pickle.dumps(engine))
         assert restored.parked
         assert signature(drain(restored)) == expected
-
-
-# ---------------------------------------------------------------------------
-# event_parkable is read once, at engine construction
-# ---------------------------------------------------------------------------
-
-
-class TestParkableFlagHoisting:
-    def test_disabling_flag_mid_run_changes_nothing(self):
-        baseline = build("MLF-H", "sparse", "event")
-        expected = signature(baseline.run())
-        expected_passes = baseline.pass_index
-
-        engine = build("MLF-H", "sparse", "event")
-        engine.start()
-        for _ in range(3):
-            engine.advance()
-        # Too late: the engine pinned parkability (and the accrue/veto
-        # hooks) at construction.
-        engine.scheduler.event_parkable = False
-        assert signature(drain(engine)) == expected
-        assert engine.pass_index == expected_passes
-
-    def test_enabling_flag_mid_run_changes_nothing(self):
-        baseline = build("FIFO", "sparse", "event")
-        expected = signature(baseline.run())
-        expected_passes = baseline.pass_index
-
-        engine = build("FIFO", "sparse", "event")
-        engine.start()
-        for _ in range(3):
-            engine.advance()
-        engine.scheduler.event_parkable = True
-        assert signature(drain(engine)) == expected
-        # Still never parks: pass count matches the untouched run.
-        assert engine.pass_index == expected_passes
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ class TestWorkerSigterm:
             if line.strip()
         ]
         # SIGTERM flushed the telemetry before the process exited.
-        assert [r["round"] for r in records if "round" in r]
+        assert [r["pass_index"] for r in records]
 
 
 class TestSupervisor:
@@ -353,6 +353,15 @@ class TestGatewayEndToEnd:
                 cancelled = client.cancel("solo")
                 assert cancelled["status"] == "cancelled"
                 assert cancelled["partition"] == partition
+
+    def test_infeasible_rejection_is_forwarded_unchanged(self, tmp_path):
+        with ThreadedGateway(gateway_config(tmp_path)) as gateway:
+            with ServiceClient(gateway.target) as client:
+                out = client.submit(
+                    JobSpec(job_id="huge", model_name="svm", gpus_requested=64)
+                )
+                assert out["status"] == "rejected"
+                assert out["reason"].startswith("infeasible: cpu ")
 
     def test_gateway_assigns_ids_when_missing(self, tmp_path):
         with ThreadedGateway(gateway_config(tmp_path)) as gateway:

@@ -1,7 +1,7 @@
 """Golden-trace regression suite: telemetry must not drift, bit for bit.
 
 Each scenario replays a small, fully seeded simulation and serializes
-every per-round telemetry record exactly as the daemon would write it
+every per-pass telemetry record exactly as the daemon would write it
 (``json.dumps(..., sort_keys=True, separators=(",", ":"))``).  The
 lines are diffed against the checked-in golden file under
 ``tests/golden/`` — any divergence (a changed field, a reordered
@@ -28,7 +28,7 @@ from repro.core import make_mlf_h, make_mlf_rl
 from repro.core.state import FEATURE_SIZE
 from repro.faults import FaultEvent, FaultPlan
 from repro.rl.policy import ScoringPolicy
-from repro.service.telemetry import RunningJctStats, round_record
+from repro.service.telemetry import RunningJctStats, pass_record
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workload import build_jobs, generate_trace
 
@@ -60,10 +60,9 @@ SCENARIOS = {
     "mlf_h": (make_mlf_h, None),
     "mlf_rl": (lambda: make_mlf_rl(policy=_mlf_rl_policy()), None),
     "mlf_h_faults": (make_mlf_h, FAULT_PLAN),
-    # The event-parkable baselines (PR 10): their clocked state —
-    # Tiresias' attained-service stints, Gandiva's slice rotation,
-    # SLAQ's quality EWMA and epoch — is pinned here the same way the
-    # MLF suite is.
+    # The baselines with clocked state — Tiresias' attained-service
+    # stints, Gandiva's slice rotation, SLAQ's quality EWMA and epoch —
+    # pinned here the same way the MLF suite is.
     "tiresias": (TiresiasScheduler, None),
     "gandiva": (GandivaScheduler, None),
     "slaq": (SLAQScheduler, None),
@@ -88,7 +87,7 @@ def trace_scenario(name: str) -> list[str]:
     lines: list[str] = []
     while True:
         result = engine.advance()
-        record = round_record(result, engine.metrics, jct_stats=stats)
+        record = pass_record(result, engine.metrics, jct_stats=stats)
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         if result.drained or result.events_processed == 0:
             break

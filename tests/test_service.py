@@ -269,6 +269,19 @@ class TestServiceCore:
         summary = summarize_telemetry(core.telemetry.records)
         assert summary["jobs_completed"] == 2
 
+    def test_infeasible_submission_is_rejected_with_reason(self, tmp_path):
+        core = SchedulerService(service_config(tmp_path))
+        out = core.submit(
+            JobSpec(job_id="huge", model_name="svm", gpus_requested=64, max_iterations=3)
+        )
+        assert (out["job_id"], out["status"]) == ("huge", "rejected")
+        assert out["reason"].startswith("infeasible: cpu ")
+        assert out["reason"].endswith(" > 115.2")
+        assert core.status("huge")["state"] == "rejected"
+        assert [e["event"] for e in core.history("huge")["events"]] == ["rejected"]
+        assert core.drain()["idle"]
+        assert core.metrics()["summary"]["jobs_rejected"] == 1.0
+
     def test_admission_queues_under_overload_then_releases(self, tmp_path):
         core = SchedulerService(
             service_config(

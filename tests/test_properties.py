@@ -27,6 +27,17 @@ def run_workload(scheduler, num_jobs, servers, seed):
     return engine, metrics
 
 
+def assert_accounted_once(engine, metrics, num_jobs):
+    """Each submitted job is in exactly one of ``job_records`` and
+    ``rejected``, and a job is rejected only for being infeasible."""
+    recorded = [r.job_id for r in metrics.job_records]
+    rejected = list(metrics.rejected)
+    assert len(recorded) + len(rejected) == num_jobs
+    assert sorted(recorded + rejected) == sorted(j.job_id for j in engine.jobs)
+    for reason in metrics.rejected.values():
+        assert reason.startswith("infeasible: ")
+
+
 @given(
     num_jobs=st.integers(min_value=1, max_value=12),
     servers=st.integers(min_value=2, max_value=6),
@@ -34,10 +45,10 @@ def run_workload(scheduler, num_jobs, servers, seed):
 )
 @settings(max_examples=12, deadline=None)
 def test_conservation_of_jobs(num_jobs, servers, seed):
-    """Every submitted job is accounted exactly once in the records."""
-    _engine, metrics = run_workload(FIFOScheduler(), num_jobs, servers, seed)
-    assert len(metrics.job_records) == num_jobs
-    assert len({r.job_id for r in metrics.job_records}) == num_jobs
+    """Every submitted job is accounted exactly once: in the records, or
+    rejected at arrival as never placeable."""
+    engine, metrics = run_workload(FIFOScheduler(), num_jobs, servers, seed)
+    assert_accounted_once(engine, metrics, num_jobs)
 
 
 @given(
@@ -196,11 +207,11 @@ def run_faulted(scheduler, num_jobs, seed, plan, sanitize=True):
 @settings(max_examples=10, deadline=None)
 def test_faults_every_job_accounted(num_jobs, seed, plan):
     """Killed tasks re-queue and finish: each job lands in the records
-    exactly once, with its iteration count within bounds, no matter what
-    the plan does to the cluster."""
+    (or, never placeable, in ``rejected``) exactly once, with its
+    iteration count within bounds, no matter what the plan does to the
+    cluster."""
     engine, metrics = run_faulted(make_mlf_h(), num_jobs, seed, plan)
-    assert len(metrics.job_records) == num_jobs
-    assert len({r.job_id for r in metrics.job_records}) == num_jobs
+    assert_accounted_once(engine, metrics, num_jobs)
     for record in metrics.job_records:
         assert 0 <= record.iterations_completed <= record.max_iterations
     assert engine.sanitizer.violations_raised == 0

@@ -158,8 +158,8 @@ class MigrationSelector:
         max_volume = 0.0
         if use_bw:
             for task in pool:
-                volume = self.comm_index.volume_to_server(
-                    task, server.server_id, shadow
+                volume = self.comm_index.volumes_by_server(task, shadow).get(
+                    server.server_id, 0.0
                 )
                 volumes[task.task_id] = volume
                 max_volume = max(max_volume, volume)

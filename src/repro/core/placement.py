@@ -15,8 +15,10 @@ to the server's least-loaded GPU.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.cluster.cluster import Cluster
@@ -41,8 +43,8 @@ class TaskCommIndex:
     """Per-task communication peers, cached per job.
 
     For task ``k`` the index stores ``[(peer_task, volume_mb), ...]``
-    across dependency edges and sync links, enabling O(peers) queries of
-    the task↔server communication volume.
+    across dependency edges and sync links, so one walk over a task's
+    peers yields its communication volume to every server.
 
     The cache is built lazily per job and must be **invalidated on job
     completion** via :meth:`forget` (every scheduler holding an index
@@ -65,16 +67,21 @@ class TaskCommIndex:
             )
         self._indexed_jobs.add(job.job_id)
 
-    def volume_to_server(
-        self, task: Task, server_id: int, shadow: ShadowCluster
-    ) -> float:
-        """Communication volume between ``task`` and tasks on ``server_id``."""
+    def volumes_by_server(
+        self, task: Task, shadow: ShadowCluster
+    ) -> dict[int, float]:
+        """Communication volume between ``task`` and each server hosting a peer.
+
+        One walk over the task's peers; servers hosting none of them are
+        absent (volume 0).  Each server's volume is summed in peer order.
+        """
         self._index_job(task.job)
-        total = 0.0
-        for peer, volume in self._peers.get(task.task_id, []):
-            if shadow.task_location(peer) == server_id:
-                total += volume
-        return total
+        volumes: dict[int, float] = {}
+        for peer, volume in self._peers.get(task.task_id, ()):
+            location = shadow.task_location(peer)
+            if location is not None:
+                volumes[location] = volumes.get(location, 0.0) + volume
+        return volumes
 
     def forget(self, job: Job) -> None:
         """Drop the index of a finished job."""
@@ -88,127 +95,116 @@ class TaskCommIndex:
         return len(self._indexed_jobs)
 
 
+#: Everything the placement predicates read of a server's live state:
+#: ``failed``, the capacity and load 4-vectors, and each GPU's
+#: ``(failed, capacity, load)``.
+StateKey = tuple[Any, ...]
+
+
+def state_key(server: Server) -> StateKey:
+    """The live state ``would_overload`` and ``utilization_tuple`` read."""
+    cap = server.capacity
+    load = server.load
+    return (
+        server.failed,
+        cap.gpu,
+        cap.cpu,
+        cap.mem,
+        cap.bw,
+        load.gpu,
+        load.cpu,
+        load.mem,
+        load.bw,
+        tuple([(g.failed, g.capacity, g.load) for g in server.gpus]),
+    )
+
+
+_FAILED = attrgetter("failed")
+
+
 @dataclass
-class PlacementIndex:
-    """Servers partitioned by free GPU capacity, maintained incrementally.
+class ServerClasses:
+    """Servers grouped into classes of equal :func:`state_key`.
 
-    The candidate scan used to visit every server per task — O(servers)
-    ``would_overload`` evaluations, the dominant cost of a dense pass at
-    Philly scale, where most servers are GPU-full and reject every
-    probe.  This index buckets servers by free GPU capacity under the
-    overload threshold in :data:`GRANULARITY`-ths of a GPU — task
-    demands are fractional (a parameter-server task asks ~0.05 GPU, a
-    worker ~0.4–0.85), so whole-GPU buckets would put every loaded
-    server in bucket 0 and prune nothing.  Heterogeneous capacity
-    classes fall out naturally: each server buckets by its *own*
-    ``threshold * capacity.gpu - load.gpu``.  A task demanding ``d``
-    GPUs only examines buckets ``>= floor(d * GRANULARITY - 1e-6)`` —
-    GPU-full servers are never touched.
+    At Philly density nearly every server is a candidate for every
+    task, yet only a few dozen distinct server states exist at a time
+    (idle hosts of each shape, hosts carrying the same task mix).  Two
+    servers with equal keys and no tentative shadow load answer
+    ``would_overload`` and ``utilization_tuple`` identically, so
+    :class:`PlacementEngine` evaluates them once per class.
 
-    Exactness contract — the bucket prefilter may **over**-include
-    (every survivor is re-checked with the full multi-resource
-    ``would_overload``) but must never wrongly exclude:
-
-    * live loads: a server that can host ``d`` has free GPU ``>= d`` up
-      to division-vs-subtraction rounding (~1e-13), hence sits in a
-      bucket the query visits (the ``1e-6`` cushion in the lower bound
-      concedes far more margin than any float noise);
-    * tentative state: any server touched by this round's shadow
-      commits (an eviction can *free* capacity the live view lacks) is
-      unioned into the result via
-      :meth:`~repro.sim.shadow.ShadowCluster.delta_server_ids`;
-    * failures: a crashed server keeps its stale bucket (failure does
-      not bump ``load_version``) — harmless, ``would_overload`` rejects
-      it.
-
-    Candidates are returned in ``server_id`` order — identical to the
-    ``cluster.servers`` scan order — so downstream tie-breaks
-    (:meth:`PlacementEngine._closest_to_ideal` keeps the first minimum;
-    the RL recorder stores positional ``chosen_index``) are unchanged.
-
-    Maintenance rides :attr:`repro.cluster.server.Server.load_version`:
-    :meth:`refresh` is an O(servers) integer sweep that re-buckets only
-    servers whose version moved — called once per scheduling pass (live
-    loads are frozen while a pass runs), not once per task.
+    Maintenance rides :attr:`repro.cluster.server.Server.load_version`
+    (every load change on a server or its GPUs bumps it): :meth:`refresh`
+    rekeys only servers whose version moved.  Failure flags do not bump
+    the version, so :meth:`refresh` also compares every server's and
+    GPU's ``failed`` flag with the last pass and rekeys on any change.
+    Capacities and GPU lists are fixed for a server's lifetime.
     """
 
-    #: Buckets per whole GPU of free capacity (1/20 GPU resolution —
-    #: finer than the smallest task demand, coarse enough that the
-    #: per-query bucket walk stays trivial).
-    GRANULARITY = 20
-
     cluster: Cluster
-    threshold: float
-    _buckets: list[set[int]] = field(init=False, repr=False)
-    _bucket_of: list[int] = field(init=False, repr=False)
+    #: Server id -> class id.
+    class_of: list[int] = field(init=False)
+    #: Class id -> member server ids, ascending.
+    members: dict[int, list[int]] = field(init=False)
+    _class_ids: dict[StateKey, int] = field(init=False, repr=False)
+    _keys: list[Optional[StateKey]] = field(init=False, repr=False)
     _versions: list[int] = field(init=False, repr=False)
+    #: Every server, then every GPU: the objects carrying ``failed``.
+    _devices: list[Any] = field(init=False, repr=False)
+    _faults: list[bool] = field(init=False, repr=False)
+    _next_id: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         servers = self.cluster.servers
-        top = 0
-        for server in servers:
-            top = max(
-                top, int(self.threshold * server.capacity.gpu * self.GRANULARITY) + 1
-            )
-        self._buckets = [set() for _ in range(top + 1)]
-        self._bucket_of = [-1] * len(servers)
+        self.class_of = [-1] * len(servers)
+        self.members = {}
+        self._class_ids = {}
+        self._keys = [None] * len(servers)
         self._versions = [-1] * len(servers)
         for server in servers:
-            self._rebucket(server)
+            self._rekey(server)
+        self._devices = [*servers, *(g for s in servers for g in s.gpus)]
+        self._faults = self._fault_flags()
 
-    def _bucket_index(self, server: Server) -> int:
-        free = self.threshold * server.capacity.gpu - server.load.gpu
-        if free < 0.0:
-            free = 0.0
-        bucket = int(free * self.GRANULARITY)
-        last = len(self._buckets) - 1
-        return bucket if bucket < last else last
+    def _fault_flags(self) -> list[bool]:
+        return list(map(_FAILED, self._devices))
 
-    def _rebucket(self, server: Server) -> None:
+    def _rekey(self, server: Server) -> None:
         sid = server.server_id
-        bucket = self._bucket_index(server)
-        old = self._bucket_of[sid]
-        if old != bucket:
-            if old >= 0:
-                self._buckets[old].discard(sid)
-            self._buckets[bucket].add(sid)
-            self._bucket_of[sid] = bucket
         self._versions[sid] = server.load_version
+        key = state_key(server)
+        old = self.class_of[sid]
+        cid = self._class_ids.get(key)
+        if cid is not None and cid == old:
+            return
+        if old >= 0:
+            members = self.members[old]
+            members.remove(sid)
+            if not members:
+                del self.members[old]
+                del self._class_ids[self._keys[sid]]
+        if cid is None:
+            cid = self._next_id
+            self._next_id += 1
+            self._class_ids[key] = cid
+            self.members[cid] = [sid]
+        else:
+            bisect.insort(self.members[cid], sid)
+        self.class_of[sid] = cid
+        self._keys[sid] = key
 
     def refresh(self) -> None:
-        """Re-bucket every server whose ``load_version`` moved."""
+        """Rekey every server whose load or failure state moved."""
+        servers = self.cluster.servers
         versions = self._versions
-        for server in self.cluster.servers:
+        for server in servers:
             if versions[server.server_id] != server.load_version:
-                self._rebucket(server)
-
-    def candidate_ids(
-        self, demand_gpu: float, shadow: Optional[ShadowCluster] = None
-    ) -> list[int]:
-        """Server ids that *may* host ``demand_gpu``, in id order.
-
-        A superset of the true candidate set (see the exactness
-        contract above); callers re-check each id with the full
-        predicate.
-        """
-        low = int(demand_gpu * self.GRANULARITY - 1e-6)
-        if low < 0:
-            low = 0
-        last = len(self._buckets) - 1
-        if low > last:
-            low = last
-        # Buckets partition the servers, so plain extension is dedup-free;
-        # only the shadow-delta union needs a membership check.
-        ids: list[int] = []
-        for bucket in self._buckets[low:]:
-            ids.extend(bucket)
-        if shadow is not None:
-            delta = shadow.delta_server_ids()
-            if delta:
-                known = set(ids)
-                ids.extend(sid for sid in delta if sid not in known)
-        ids.sort()
-        return ids
+                self._rekey(server)
+        faults = self._fault_flags()
+        if faults != self._faults:
+            for server in servers:
+                self._rekey(server)
+            self._faults = faults
 
 
 @dataclass
@@ -217,75 +213,69 @@ class PlacementEngine:
 
     config: MLFSConfig
     comm_index: TaskCommIndex = field(default_factory=TaskCommIndex)
-    #: Pass-scoped candidate index (see :class:`PlacementIndex`).  Cache
-    #: state only — dropped on pickle (shadow tokens are process-local).
-    _index: Optional[PlacementIndex] = field(default=None, init=False, repr=False)
-    _index_pass_token: int = field(default=-1, init=False, repr=False)
+    #: Pass-scoped server classes (see :class:`ServerClasses`), built
+    #: lazily on the first query.  Cache state only — dropped on pickle
+    #: (shadow tokens are process-local).
+    _classes: Optional[ServerClasses] = field(default=None, init=False, repr=False)
+    _classes_token: int = field(default=-1, init=False, repr=False)
+
+    def _server_classes(self, shadow: ShadowCluster) -> ServerClasses:
+        """The classes of ``shadow``'s cluster, fresh for this pass.
+
+        A new shadow means a new pass; live loads never move while a
+        pass runs, so the classes refresh once per shadow.  Callers that
+        mutate *live* server loads mid-shadow must build a fresh
+        :class:`~repro.sim.shadow.ShadowCluster` afterwards.
+        """
+        classes = self._classes
+        if classes is None or classes.cluster is not shadow.cluster:
+            classes = ServerClasses(shadow.cluster)
+            self._classes = classes
+        elif shadow.token != self._classes_token:
+            classes.refresh()
+        self._classes_token = shadow.token
+        return classes
 
     def candidate_servers(
         self, task: Task, shadow: ShadowCluster
     ) -> list[Server]:
-        """Underloaded servers that can host the task without overload.
+        """Servers that can host the task without overload, in id order.
 
-        One ``would_overload`` check per *plausible* server: the
-        free-GPU-bucketed :class:`PlacementIndex` prunes servers that
-        cannot possibly fit the task's GPU demand, and the survivors
-        get the exact multi-resource predicate (which subsumes the
-        separate ``underloaded_servers`` pre-filter, since task demand
-        is non-negative).  Bit-identical to the full
-        :meth:`candidate_servers_scan` — the hypothesis suite pins the
-        equivalence under arbitrary place/evict/fail sequences.
-
-        The index refreshes once per scheduling pass (a new shadow
-        means a new pass; live loads never move while a pass runs).
-        Callers that mutate *live* server loads mid-shadow must build a
-        fresh :class:`~repro.sim.shadow.ShadowCluster` afterwards.
+        One ``would_overload`` check per server-state class (the exact
+        multi-resource predicate, which subsumes the separate
+        ``underloaded_servers`` pre-filter since task demand is
+        non-negative); servers with tentative shadow load are checked on
+        their own.  The passing classes expand into the same id-ordered
+        list a per-server scan returns.
         """
+        classes = self._server_classes(shadow)
         threshold = self.config.overload_threshold
-        cluster = shadow.cluster
-        index = self._index
-        if (
-            index is None
-            or index.cluster is not cluster
-            or index.threshold != threshold
-        ):
-            index = PlacementIndex(cluster, threshold)
-            self._index = index
-            self._index_pass_token = shadow.token
-        elif shadow.token != self._index_pass_token:
-            index.refresh()
-            self._index_pass_token = shadow.token
-        server_of = cluster.server
         demand = task.demand
         would_overload = shadow.would_overload
-        return [
-            server
-            for server in map(server_of, index.candidate_ids(demand.gpu, shadow))
-            if not would_overload(server, demand, threshold)
-        ]
-
-    def candidate_servers_scan(
-        self, task: Task, shadow: ShadowCluster
-    ) -> list[Server]:
-        """Brute-force candidate scan — the index's correctness oracle.
-
-        Visits every server with the exact predicate; kept as the
-        reference the property suite diffs :meth:`candidate_servers`
-        against.
-        """
-        threshold = self.config.overload_threshold
-        return [
-            server
-            for server in shadow.cluster.servers
-            if not shadow.would_overload(server, task.demand, threshold)
-        ]
+        servers = shadow.cluster.servers
+        delta = shadow.delta_server_ids()
+        class_of = classes.class_of
+        dirty = {class_of[sid] for sid in delta}
+        ids: list[int] = []
+        for cid, members in classes.members.items():
+            if cid in dirty:
+                members = [sid for sid in members if sid not in delta]
+                if not members:
+                    continue
+            if not would_overload(servers[members[0]], demand, threshold):
+                ids.extend(members)
+        for sid in delta:
+            if not would_overload(servers[sid], demand, threshold):
+                ids.append(sid)
+        ids.sort()
+        return [servers[sid] for sid in ids]
 
     def __getstate__(self) -> dict[str, Any]:
-        # Shadow tokens (the index freshness key) are process-local
-        # counters; a restored engine rebuilds the index lazily.
+        # Shadow tokens (the class freshness key) are process-local
+        # counters; a restored engine rebuilds the classes lazily.
         state = self.__dict__.copy()
-        state["_index"] = None
-        state["_index_pass_token"] = -1
+        state["_classes"] = None
+        state["_classes_token"] = -1
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -325,13 +315,38 @@ class PlacementEngine:
         shadow: ShadowCluster,
         movement_penalty: float,
     ) -> tuple[int, float]:
-        # Plain tuples and an unrolled distance loop: this runs for every
-        # candidate of every task placement and is the RIAL hot path at
-        # Philly scale, so it avoids genexpr/sum overhead per server.
-        utils = {s.server_id: shadow.utilization_tuple(s) for s in candidates}
-        first = utils[candidates[0].server_id]
-        ideal_0, ideal_1, ideal_2, ideal_3 = first
-        for util in utils.values():
+        """The first candidate, in list order, nearest the ideal point.
+
+        Only one *representative* per server-state class is evaluated:
+        the class's first candidate in list order.  Servers with
+        tentative shadow load or hosting one of the task's peers are
+        their own representatives.  Every other class member has the
+        same utilizations, zero volume and hence the same distance as
+        its representative, so it neither moves the ideal point nor —
+        under the strict ``distance < best - 1e-12`` rule, which never
+        lets a later equal distance replace an earlier one — the choice.
+        """
+        use_bw = self.config.use_bandwidth
+        volumes = self.comm_index.volumes_by_server(task, shadow) if use_bw else {}
+        singles = shadow.delta_server_ids()
+        singles.update(volumes)
+        class_of = self._server_classes(shadow).class_of
+        seen: set[int] = set()
+        reps: list[Server] = []
+        for server in candidates:
+            sid = server.server_id
+            if sid not in singles:
+                cid = class_of[sid]
+                if cid in seen:
+                    continue
+                seen.add(cid)
+            reps.append(server)
+
+        # Plain tuples and an unrolled distance loop: this runs per class
+        # representative of every task placement, the RIAL hot path.
+        utils = [shadow.utilization_tuple(s) for s in reps]
+        ideal_0, ideal_1, ideal_2, ideal_3 = utils[0]
+        for util in utils:
             if util[0] < ideal_0:
                 ideal_0 = util[0]
             if util[1] < ideal_1:
@@ -340,32 +355,23 @@ class PlacementEngine:
                 ideal_2 = util[2]
             if util[3] < ideal_3:
                 ideal_3 = util[3]
-        use_bw = self.config.use_bandwidth
-        volumes = {}
-        max_volume = 0.0
-        if use_bw:
-            for server in candidates:
-                volume = self.comm_index.volume_to_server(
-                    task, server.server_id, shadow
-                )
-                volumes[server.server_id] = volume
-                max_volume = max(max_volume, volume)
+        # Peer hosts among the candidates are all representatives.
+        max_volume = max(volumes.get(s.server_id, 0.0) for s in reps)
 
         penalty_sq = movement_penalty**2
-        best_id = candidates[0].server_id
+        best_id = reps[0].server_id
         best_distance = math.inf
-        for server in candidates:
-            u0, u1, u2, u3 = utils[server.server_id]
+        for server, (u0, u1, u2, u3) in zip(reps, utils):
             d0 = u0 - ideal_0
             d1 = u1 - ideal_1
             d2 = u2 - ideal_2
             d3 = u3 - ideal_3
             distance_sq = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-            if use_bw and max_volume > 0:
+            if max_volume > 0:
                 # Ideal = the maximum volume (normalized to 1): servers
                 # hosting more of the task's communication peers are
                 # closer to the ideal.
-                normalized = volumes[server.server_id] / max_volume
+                normalized = volumes.get(server.server_id, 0.0) / max_volume
                 distance_sq += (normalized - 1.0) ** 2
             distance = math.sqrt(distance_sq + penalty_sq)
             if distance < best_distance - 1e-12:

@@ -69,13 +69,17 @@ class StateFeaturizer:
         server: Server,
         shadow: ShadowCluster,
         now: float,
+        volume: float,
         task_part: list[float] | None = None,
     ) -> np.ndarray:
-        """Feature vector for one (task, server) pair."""
+        """Feature vector for one (task, server) pair.
+
+        ``volume`` is the task's communication volume to ``server``
+        (see :meth:`TaskCommIndex.volumes_by_server`).
+        """
         base = task_part if task_part is not None else self.task_features(task, now)
         util = shadow.utilization(server)
         least_gpu = shadow.gpu_utilization(server, shadow.least_loaded_gpu(server))
-        volume = self.comm_index.volume_to_server(task, server.server_id, shadow)
         colocated = self._colocated_fraction(task, server.server_id, shadow)
         server_part = [
             util.gpu,
@@ -103,8 +107,11 @@ class StateFeaturizer:
     ) -> np.ndarray:
         """Stacked features for every candidate server (rows)."""
         task_part = self.task_features(task, now)
+        volumes = self.comm_index.volumes_by_server(task, shadow)
         rows = [
-            self.candidate_features(task, server, shadow, now, task_part)
+            self.candidate_features(
+                task, server, shadow, now, volumes.get(server.server_id, 0.0), task_part
+            )
             for server in servers
         ]
         return np.vstack(rows)

@@ -8,14 +8,23 @@ Also the suite-wide plumbing:
   so no extra dependency): a hung test raises ``TimeoutError`` where
   it is stuck instead of wedging the whole suite.  ``slow``-marked
   tests get a higher ceiling.
+* ``HYPOTHESIS_PROFILE=ci`` selects derandomized hypothesis draws that
+  print a reproduction blob on failure, so a failing CI draw replays
+  anywhere without the local ``.hypothesis/`` example store.  Local
+  runs keep the default profile's random exploration.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import signal
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 #: Per-test wall-clock ceilings (seconds).
 TEST_TIMEOUT_S = 120

@@ -86,23 +86,23 @@ class TestPlacementEngine:
 
 
 class TestTaskCommIndex:
-    def test_volume_to_server(self, small_cluster):
+    def test_volumes_by_server(self, small_cluster):
         index = TaskCommIndex()
         job = make_job(seed=8, gpus=4)
         shadow = ShadowCluster(small_cluster)
         for task in job.tasks[1:]:
             gpu = small_cluster.server(1).place_task(task)
             task.mark_placed(0.0, 1, gpu.gpu_id)
-        volume_peer = index.volume_to_server(job.tasks[0], 1, shadow)
-        volume_empty = index.volume_to_server(job.tasks[0], 3, shadow)
-        assert volume_peer >= volume_empty
-        assert volume_empty == 0.0
+        volumes = index.volumes_by_server(job.tasks[0], shadow)
+        # Only the peers' host appears; every other server has volume 0.
+        assert set(volumes) == {1}
+        assert volumes[1] > 0.0
 
     def test_forget(self, small_cluster):
         index = TaskCommIndex()
         job = make_job(seed=8)
         shadow = ShadowCluster(small_cluster)
-        index.volume_to_server(job.tasks[0], 0, shadow)
+        index.volumes_by_server(job.tasks[0], shadow)
         assert job.job_id in index._indexed_jobs
         index.forget(job)
         assert job.job_id not in index._indexed_jobs

@@ -24,9 +24,10 @@ import pytest
 
 from repro.baselines import GandivaScheduler, SLAQScheduler, TiresiasScheduler
 from repro.cluster import Cluster
-from repro.core import make_mlf_h, make_mlf_rl
+from repro.core import MLFSConfig, Phase, make_mlf_h, make_mlf_rl, make_mlfs
 from repro.core.state import FEATURE_SIZE
 from repro.faults import FaultEvent, FaultPlan
+from repro.learncurve import CurveEnsemble
 from repro.rl.policy import ScoringPolicy
 from repro.service.telemetry import RunningJctStats, pass_record
 from repro.sim import EngineConfig, SimulationEngine
@@ -60,6 +61,14 @@ SCENARIOS = {
     "mlf_h": (make_mlf_h, None),
     "mlf_rl": (lambda: make_mlf_rl(policy=_mlf_rl_policy()), None),
     "mlf_h_faults": (make_mlf_h, FAULT_PLAN),
+    # Full MLFS: MLF-C's learning-curve fits and stops, and an early
+    # switch from MLF-H to MLF-RL.
+    "mlfs": (
+        lambda: make_mlfs(
+            config=MLFSConfig(enable_load_control=True, rl_switch_decisions=10)
+        ),
+        None,
+    ),
     # The baselines with clocked state — Tiresias' attained-service
     # stints, Gandiva's slice rotation, SLAQ's quality EWMA and epoch —
     # pinned here the same way the MLF suite is.
@@ -71,6 +80,11 @@ SCENARIOS = {
 
 def trace_scenario(name: str) -> list[str]:
     """Run one scenario; return its telemetry JSONL lines."""
+    return run_scenario(name)[0]
+
+
+def run_scenario(name: str) -> tuple[list[str], SimulationEngine]:
+    """Run one scenario; return its telemetry lines and the finished engine."""
     factory, plan = SCENARIOS[name]
     records = generate_trace(10, duration_seconds=3600.0, seed=29)
     jobs = build_jobs(records, seed=30)
@@ -93,7 +107,7 @@ def trace_scenario(name: str) -> list[str]:
             break
     engine.finalize()
     assert engine.sanitizer.violations_raised == 0
-    return lines
+    return lines, engine
 
 
 def golden_path(name: str) -> Path:
@@ -133,3 +147,19 @@ def test_fault_scenario_actually_faults(update_golden):
     records = [json.loads(line) for line in trace_scenario("mlf_h_faults")]
     assert sum(r["faults"] for r in records) > 0
     assert sum(r["tasks_killed"] for r in records) > 0
+
+
+def test_mlfs_scenario_exercises_every_phase(monkeypatch):
+    """Guard: the MLFS golden trace fits curves, stops jobs and reaches RL."""
+    fits = []
+    original = CurveEnsemble.fit.__func__
+
+    def counting_fit(cls, iterations, accuracies):
+        fits.append(len(iterations))
+        return original(cls, iterations, accuracies)
+
+    monkeypatch.setattr(CurveEnsemble, "fit", classmethod(counting_fit))
+    lines, engine = run_scenario("mlfs")
+    assert fits, "MLF-C never fitted a learning curve"
+    assert sum(json.loads(line)["stops"] for line in lines) > 0
+    assert engine.scheduler.phase is Phase.RL

@@ -5,6 +5,7 @@ paper reports MLF-C improves the accuracy guarantee ratio by 17–23% and
 average JCT by 28–42% under overload.
 """
 
+import pytest
 from harness import BENCH_PRETRAIN, ablation_figure, print_figure, run_config_sweep
 
 from repro.api import SchedulerSpec
@@ -22,6 +23,7 @@ def _sweeps():
     }
 
 
+@pytest.mark.paper
 def test_fig9_accuracy_guarantee():
     """Left Y: accuracy guarantee ratio with vs without MLF-C."""
     sweeps = _sweeps()
@@ -33,6 +35,7 @@ def test_fig9_accuracy_guarantee():
     assert series.data["w/ MLF-C"][top] >= series.data["w/o MLF-C"][top] - 0.05
 
 
+@pytest.mark.paper
 def test_fig9_jct():
     """Right Y: average JCT with vs without MLF-C."""
     sweeps = _sweeps()

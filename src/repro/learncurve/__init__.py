@@ -2,7 +2,7 @@
 
 from repro.learncurve.accuracy import AccuracyPredictor
 from repro.learncurve.curves import CURVE_FAMILIES, CurveFamily, fit_family
-from repro.learncurve.ensemble import CurveEnsemble, FittedMember, fit_ensemble
+from repro.learncurve.ensemble import CurveEnsemble, FittedMember
 from repro.learncurve.optstop import OptStopPolicy, StopDecision
 from repro.learncurve.runtime import RuntimePredictor
 
@@ -15,6 +15,5 @@ __all__ = [
     "OptStopPolicy",
     "RuntimePredictor",
     "StopDecision",
-    "fit_ensemble",
     "fit_family",
 ]

@@ -39,10 +39,10 @@ class FittedMember:
 class CurveEnsemble:
     """A fitted weighted ensemble over learning-curve families.
 
-    Use :meth:`fit` (or :func:`fit_ensemble`) to construct.  The ensemble
-    weight of member ``m`` is ``softmin`` of its per-point mean squared
-    error, so better-fitting families dominate the prediction while every
-    family retains probability mass (the "probabilistic" aspect of [17]).
+    Use :meth:`fit` to construct.  The ensemble weight of member ``m``
+    is ``softmin`` of its per-point mean squared error, so better-fitting
+    families dominate the prediction while every family retains
+    probability mass (the "probabilistic" aspect of [17]).
     """
 
     members: list[FittedMember] = field(default_factory=list)
@@ -112,13 +112,6 @@ class CurveEnsemble:
         n = max(len(self.observed_x), 1)
         mse = sum(m.weight * m.sse / n for m in self.members)
         return math.sqrt(max(mse, 0.0))
-
-
-def fit_ensemble(
-    iterations: Sequence[float], accuracies: Sequence[float]
-) -> CurveEnsemble:
-    """Convenience alias for :meth:`CurveEnsemble.fit`."""
-    return CurveEnsemble.fit(iterations, accuracies)
 
 
 def _normal_cdf(z: float) -> float:

@@ -105,20 +105,3 @@ class OptStopPolicy:
                 if confidence >= self.confidence_threshold:
                     return StopDecision.STOP_UNREACHABLE
         return StopDecision.CONTINUE
-
-    def optimal_stop_iteration(self, job: Job, predictor: AccuracyPredictor) -> int:
-        """The iteration at which the job is expected to stop.
-
-        Used for planning (e.g. load forecasts); searches the predicted
-        curve for the first iteration meeting the target, clamped to
-        ``max_iterations``.
-        """
-        threshold = self.target_accuracy(job, predictor)
-        if threshold == float("inf"):
-            return job.max_iterations
-        for iteration in range(
-            max(self.min_iterations, job.iterations_completed), job.max_iterations + 1
-        ):
-            if predictor.predict(job, iteration) >= threshold:
-                return iteration
-        return job.max_iterations

@@ -8,11 +8,13 @@ bench to run pays the sweep cost.  Run with
 tables.
 """
 
+import pytest
 from harness import REAL, figure, jct_cdfs, print_figure, run_sweep
 
 from repro.analysis import cdf_at, log_spaced_points
 
 
+@pytest.mark.paper
 def test_fig4a_jct_cdf():
     """Fig. 4(a): CDF of JCT at the highest workload."""
 
@@ -33,6 +35,7 @@ def test_fig4a_jct_cdf():
     assert sum(mlfs) >= sum(fair)
 
 
+@pytest.mark.paper
 def test_fig4b_avg_jct():
     """Fig. 4(b): average JCT vs number of jobs."""
     series = figure(REAL, "avg_jct_s", "Fig 4(b) avg JCT", "seconds")
@@ -42,6 +45,7 @@ def test_fig4b_avg_jct():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig4c_deadline_ratio():
     """Fig. 4(c): job deadline guarantee ratio vs number of jobs."""
     series = figure(REAL, "deadline_ratio", "Fig 4(c) deadline ratio", "ratio")
@@ -51,6 +55,7 @@ def test_fig4c_deadline_ratio():
     assert ranking.index("MLFS") < ranking.index("SLAQ")
 
 
+@pytest.mark.paper
 def test_fig4d_waiting_time():
     """Fig. 4(d): average job waiting time vs number of jobs."""
     series = figure(REAL, "avg_wait_s", "Fig 4(d) avg waiting", "seconds")
@@ -60,6 +65,7 @@ def test_fig4d_waiting_time():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig4e_average_accuracy():
     """Fig. 4(e): average accuracy by the deadline vs number of jobs."""
     series = figure(REAL, "avg_accuracy", "Fig 4(e) avg accuracy", "accuracy")
@@ -69,6 +75,7 @@ def test_fig4e_average_accuracy():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig4f_accuracy_ratio():
     """Fig. 4(f): accuracy guarantee ratio vs number of jobs."""
     series = figure(REAL, "accuracy_ratio", "Fig 4(f) accuracy ratio", "ratio")
@@ -78,6 +85,7 @@ def test_fig4f_accuracy_ratio():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig4g_bandwidth():
     """Fig. 4(g): total bandwidth cost vs number of jobs."""
     series = figure(REAL, "bandwidth_gb", "Fig 4(g) bandwidth", "GB")
@@ -88,6 +96,7 @@ def test_fig4g_bandwidth():
     assert set(ranking[:3]) == {"MLFS", "MLF-RL", "MLF-H"}
 
 
+@pytest.mark.paper
 def test_fig4h_scheduler_overhead():
     """Fig. 4(h): average scheduler time overhead vs number of jobs."""
     series = figure(REAL, "overhead_ms", "Fig 4(h) overhead", "ms")
@@ -98,6 +107,7 @@ def test_fig4h_scheduler_overhead():
     assert ranking[0] == "MLFS"
 
 
+@pytest.mark.paper
 def test_fig4_makespan():
     """Section 4.2.1 text: makespan at every workload level."""
     series = figure(REAL, "makespan_s", "Fig 4 makespan", "seconds")

@@ -6,11 +6,13 @@ not absolute values, are asserted; see EXPERIMENTS.md for the measured
 vs paper comparison.
 """
 
+import pytest
 from harness import SIM, figure, jct_cdfs, print_figure
 
 from repro.analysis import cdf_at, log_spaced_points
 
 
+@pytest.mark.paper
 def test_fig5a_jct_cdf():
     """Fig. 5(a): CDF of JCT at the highest workload (sim scale)."""
     cdfs = jct_cdfs(SIM)
@@ -24,6 +26,7 @@ def test_fig5a_jct_cdf():
     assert sum(mlfs) >= sum(fair)
 
 
+@pytest.mark.paper
 def test_fig5b_avg_jct():
     """Fig. 5(b): average JCT vs number of jobs (sim scale)."""
     series = figure(SIM, "avg_jct_s", "Fig 5(b) avg JCT", "seconds")
@@ -32,6 +35,7 @@ def test_fig5b_avg_jct():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig5c_deadline_ratio():
     """Fig. 5(c): deadline guarantee ratio (sim scale)."""
     series = figure(SIM, "deadline_ratio", "Fig 5(c) deadline ratio", "ratio")
@@ -40,6 +44,7 @@ def test_fig5c_deadline_ratio():
     assert ranking.index("MLFS") < ranking.index("SLAQ")
 
 
+@pytest.mark.paper
 def test_fig5d_waiting_time():
     """Fig. 5(d): average job waiting time (sim scale)."""
     series = figure(SIM, "avg_wait_s", "Fig 5(d) avg waiting", "seconds")
@@ -48,6 +53,7 @@ def test_fig5d_waiting_time():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig5e_average_accuracy():
     """Fig. 5(e): average accuracy by deadline (sim scale)."""
     series = figure(SIM, "avg_accuracy", "Fig 5(e) avg accuracy", "accuracy")
@@ -56,6 +62,7 @@ def test_fig5e_average_accuracy():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig5f_accuracy_ratio():
     """Fig. 5(f): accuracy guarantee ratio (sim scale)."""
     series = figure(SIM, "accuracy_ratio", "Fig 5(f) accuracy ratio", "ratio")
@@ -64,6 +71,7 @@ def test_fig5f_accuracy_ratio():
     assert ranking.index("MLFS") < ranking.index("TensorFlow")
 
 
+@pytest.mark.paper
 def test_fig5g_bandwidth():
     """Fig. 5(g): total bandwidth cost (sim scale)."""
     series = figure(SIM, "bandwidth_gb", "Fig 5(g) bandwidth", "GB")
@@ -72,6 +80,7 @@ def test_fig5g_bandwidth():
     assert set(ranking[:3]) == {"MLFS", "MLF-RL", "MLF-H"}
 
 
+@pytest.mark.paper
 def test_fig5h_scheduler_overhead():
     """Fig. 5(h): scheduler time overhead (sim scale)."""
     series = figure(SIM, "overhead_ms", "Fig 5(h) overhead", "ms")

@@ -6,11 +6,13 @@ Eq. 2.  Right axis: overall deadline guarantee ratio with and without
 the deadline term ``γ_d / (d_k − t)`` in Eq. 4.
 """
 
+import pytest
 from harness import ablation_figure, print_figure, run_config_sweep
 
 from repro.api import SchedulerSpec
 
 
+@pytest.mark.paper
 def test_fig6_urgency_consideration():
     """Urgent-job deadline ratio, w/ vs w/o the urgency coefficient."""
 
@@ -40,6 +42,7 @@ def test_fig6_urgency_consideration():
     )
 
 
+@pytest.mark.paper
 def test_fig6_deadline_consideration():
     """Overall deadline ratio, w/ vs w/o the Eq. 4 deadline term."""
 

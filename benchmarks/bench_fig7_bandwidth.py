@@ -5,6 +5,7 @@ and migration rules (Section 3.3.2) reduces JCT by 5–15% and bandwidth
 cost by 20–35%.  This bench compares MLF-H with and without the term.
 """
 
+import pytest
 from harness import ablation_figure, print_figure, run_config_sweep
 
 from repro.api import SchedulerSpec
@@ -23,6 +24,7 @@ def _sweeps():
     }
 
 
+@pytest.mark.paper
 def test_fig7_bandwidth_cost():
     """Total bandwidth with vs without the bandwidth term (left Y)."""
     sweeps = _sweeps()
@@ -32,6 +34,7 @@ def test_fig7_bandwidth_cost():
     assert series.data["w/ bandwidth"][top] < series.data["w/o bandwidth"][top]
 
 
+@pytest.mark.paper
 def test_fig7_jct():
     """Average JCT with vs without the bandwidth term (right Y)."""
     sweeps = _sweeps()

@@ -7,6 +7,7 @@ overload occurrences by 36–60% and JCT by 15–24% while adding 10–14%
 bandwidth.
 """
 
+import pytest
 from harness import ablation_figure, print_figure, run_config_sweep
 
 from repro.api import SchedulerSpec
@@ -25,6 +26,7 @@ def _sweeps():
     }
 
 
+@pytest.mark.paper
 def test_fig8a_overload_occurrences():
     """Fig. 8(a) left Y: server-overload occurrences."""
     sweeps = _sweeps()
@@ -36,6 +38,7 @@ def test_fig8a_overload_occurrences():
     assert series.data["w/ migration"][top] <= series.data["w/o migration"][top]
 
 
+@pytest.mark.paper
 def test_fig8a_bandwidth():
     """Fig. 8(a) right Y: bandwidth cost (migration adds traffic)."""
     sweeps = _sweeps()
@@ -46,6 +49,7 @@ def test_fig8a_bandwidth():
     assert migrations[top]["migrations"] > 0
 
 
+@pytest.mark.paper
 def test_fig8b_accuracy():
     """Fig. 8(b) left Y: average accuracy by deadline."""
     sweeps = _sweeps()
@@ -58,6 +62,7 @@ def test_fig8b_accuracy():
     )
 
 
+@pytest.mark.paper
 def test_fig8b_jct():
     """Fig. 8(b) right Y: average JCT."""
     sweeps = _sweeps()

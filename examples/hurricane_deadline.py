@@ -18,8 +18,8 @@ from repro.analysis import format_table
 from repro.baselines import FairScheduler
 from repro.cluster import Cluster
 from repro.core import make_mlfs
-from repro.sim import EngineConfig, SimulationSetup, run_comparison
-from repro.workload import TraceRecord, WorkloadConfig, generate_trace
+from repro.sim import SimulationEngine
+from repro.workload import TraceRecord, WorkloadConfig, build_jobs, generate_trace
 
 
 def build_workload() -> list[TraceRecord]:
@@ -45,29 +45,23 @@ def build_workload() -> list[TraceRecord]:
 
 def main() -> None:
     records = build_workload()
-    setup = SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(5, 4),
-        workload_seed=8,
-        engine_config=EngineConfig(),
-        # Tight deadline draw: urgency has to matter.
-        workload_config=WorkloadConfig(deadline_uniform_range_hours=(0.5, 3.0)),
-    )
-    results = run_comparison([make_mlfs(), FairScheduler()], setup)
-
+    # Tight deadline draw: urgency has to matter.
+    config = WorkloadConfig(deadline_uniform_range_hours=(0.5, 3.0))
     rows = []
-    for name, result in results.items():
-        urgent = [r for r in result.metrics.job_records if r.urgency > 8]
+    for scheduler in (make_mlfs(), FairScheduler()):
+        jobs = build_jobs(records, seed=8, config=config)
+        metrics = SimulationEngine(scheduler, jobs, Cluster.build(5, 4)).run()
+        urgent = [r for r in metrics.job_records if r.urgency > 8]
         met = sum(1 for r in urgent if r.met_deadline)
         rows.append(
             [
-                name,
+                scheduler.name,
                 f"{met}/{len(urgent)}",
-                round(result.metrics.urgent_deadline_ratio(8), 3),
+                round(metrics.urgent_deadline_ratio(8), 3),
                 round(
                     sum(r.jct for r in urgent) / max(len(urgent), 1) / 60.0, 1
                 ),
-                round(result.summary()["deadline_ratio"], 3),
+                round(metrics.deadline_guarantee_ratio(), 3),
             ]
         )
     print(

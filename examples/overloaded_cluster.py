@@ -13,36 +13,30 @@ Run:  python examples/overloaded_cluster.py
 from repro.analysis import format_table
 from repro.cluster import Cluster
 from repro.core import make_mlf_rl, make_mlfs
-from repro.sim import EngineConfig, SimulationSetup, run_comparison
-from repro.workload import WorkloadConfig, generate_trace
+from repro.sim import SimulationEngine
+from repro.workload import WorkloadConfig, build_jobs, generate_trace
 
 
 def main() -> None:
     records = generate_trace(num_jobs=80, duration_seconds=3600.0, seed=21)
-    setup = SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(3, 4),
-        workload_seed=22,
-        engine_config=EngineConfig(),
-        workload_config=WorkloadConfig(deadline_uniform_range_hours=(0.5, 6.0)),
-    )
-    # MLFS = MLF-RL + MLF-C; MLF-RL alone is the no-load-control ablation.
-    results = run_comparison([make_mlfs(), make_mlf_rl()], setup)
-
+    config = WorkloadConfig(deadline_uniform_range_hours=(0.5, 6.0))
     rows = []
-    for name, result in results.items():
-        records_ = result.metrics.job_records
-        stopped = [r for r in records_ if r.stopped_early]
+    # MLFS = MLF-RL + MLF-C; MLF-RL alone is the no-load-control ablation.
+    for scheduler in (make_mlfs(), make_mlf_rl()):
+        jobs = build_jobs(records, seed=22, config=config)
+        metrics = SimulationEngine(scheduler, jobs, Cluster.build(3, 4)).run()
+        summary = metrics.summary()
+        stopped = [r for r in metrics.job_records if r.stopped_early]
         saved = sum(r.max_iterations - r.iterations_completed for r in stopped)
         rows.append(
             [
-                name,
+                scheduler.name,
                 len(stopped),
                 saved,
-                round(result.summary()["avg_jct_s"] / 60.0, 1),
-                round(result.summary()["deadline_ratio"], 3),
-                round(result.summary()["accuracy_ratio"], 3),
-                round(result.summary()["avg_accuracy"], 3),
+                round(summary["avg_jct_s"] / 60.0, 1),
+                round(summary["deadline_ratio"], 3),
+                round(summary["accuracy_ratio"], 3),
+                round(summary["avg_accuracy"], 3),
             ]
         )
     print(

@@ -9,30 +9,31 @@ baseline.
 Run:  python examples/quickstart.py
 """
 
+from repro import api
 from repro.analysis import format_table
-from repro.baselines import FIFOScheduler
-from repro.cluster import Cluster
-from repro.core import make_mlfs
-from repro.sim import EngineConfig, SimulationSetup, run_comparison
-from repro.workload import generate_trace
+from repro.analysis.report import metrics_of
 
 
 def main() -> None:
-    # 1. A synthetic trace shaped like the Microsoft Philly workload.
-    records = generate_trace(num_jobs=40, duration_seconds=2 * 3600.0, seed=42)
-
-    # 2. The scenario: workload + cluster recipe (fresh cluster per run).
-    setup = SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(num_servers=10, gpus_per_server=4),
-        workload_seed=43,
-        engine_config=EngineConfig(tick_seconds=60.0),
+    # 1. The scenario: a synthetic trace shaped like the Microsoft Philly
+    #    workload, a 10-server cluster and the trace → job seed.
+    spec = api.RunSpec(
+        scheduler=api.SchedulerSpec("MLFS"),
+        workload=api.WorkloadSpec(num_jobs=40, duration_hours=2.0, trace_seed=42),
+        cluster=api.ClusterSpec(num_servers=10, gpus_per_server=4),
+        engine=api.EngineConfig(tick_seconds=60.0),
+        seed=43,
     )
 
-    # 3. Run MLFS and FIFO over the identical workload.
-    results = run_comparison([make_mlfs(), FIFOScheduler()], setup)
+    # 2. Run MLFS and FIFO over the identical workload.
+    results = {
+        name: metrics_of(
+            api.run(api.replace_path(spec, "scheduler", api.SchedulerSpec(name)))
+        )
+        for name in ("MLFS", "FIFO")
+    }
 
-    # 4. Report.
+    # 3. Report.
     keys = [
         "avg_jct_s",
         "makespan_s",
@@ -43,13 +44,13 @@ def main() -> None:
         "overhead_ms",
     ]
     rows = [
-        [name] + [round(result.summary()[k], 3) for k in keys]
-        for name, result in results.items()
+        [name] + [round(summary[k], 3) for k in keys]
+        for name, summary in results.items()
     ]
     print(format_table(["scheduler"] + keys, rows))
 
-    mlfs = results["MLFS"].summary()
-    fifo = results["FIFO"].summary()
+    mlfs = results["MLFS"]
+    fifo = results["FIFO"]
     speedup = (fifo["avg_jct_s"] - mlfs["avg_jct_s"]) / fifo["avg_jct_s"]
     print(f"\nMLFS reduces average JCT by {speedup:.0%} vs FIFO on this workload.")
 

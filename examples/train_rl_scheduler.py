@@ -20,8 +20,8 @@ from repro.core import (
     pretrain_policy,
     reinforce_finetune,
 )
-from repro.sim import EngineConfig, SimulationSetup, run_comparison
-from repro.workload import generate_trace
+from repro.sim import EngineConfig, SimulationEngine
+from repro.workload import build_jobs, generate_trace
 
 
 def main() -> None:
@@ -55,18 +55,13 @@ def main() -> None:
 
     # --- 4: held-out comparison ----------------------------------------
     test_records = generate_trace(60, duration_seconds=3600.0, seed=41)
-    setup = SimulationSetup(
-        records=test_records,
-        cluster_factory=lambda: Cluster.build(5, 4),
-        workload_seed=42,
-        engine_config=engine_config,
-    )
-    results = run_comparison([make_mlf_h(), make_mlf_rl(policy)], setup)
     keys = ["avg_jct_s", "deadline_ratio", "avg_accuracy", "bandwidth_gb", "overhead_ms"]
-    rows = [
-        [name] + [round(result.summary()[k], 3) for k in keys]
-        for name, result in results.items()
-    ]
+    rows = []
+    for scheduler in (make_mlf_h(), make_mlf_rl(policy)):
+        jobs = build_jobs(test_records, seed=42)
+        engine = SimulationEngine(scheduler, jobs, Cluster.build(5, 4), engine_config)
+        summary = engine.run().summary()
+        rows.append([scheduler.name] + [round(summary[k], 3) for k in keys])
     print()
     print(format_table(["scheduler"] + keys, rows))
 

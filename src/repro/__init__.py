@@ -6,94 +6,9 @@ MLF-RL, MLF-C), every substrate it runs on (multi-resource cluster
 model, data+model-parallel workloads with task dependency DAGs, a
 trace-driven discrete-event simulator, learning-curve predictors, a
 NumPy RL stack) and the seven comparison schedulers of its evaluation.
+
+The supported public surface is :mod:`repro.api` (``from repro import
+api``): run specs, sweeps and the simulation engine.
 """
 
-# Deprecated import surface: prefer ``from repro import api`` — the
-# supported public API (run/sweep/specs) lives in :mod:`repro.api`.
-
-from repro.cluster import Cluster, ResourceKind, ResourceVector, Server
-from repro.core import (
-    MLFSConfig,
-    MLFSScheduler,
-    make_mlf_h,
-    make_mlf_rl,
-    make_mlfs,
-)
-from repro.sim import (
-    EngineConfig,
-    SimulationEngine,
-    SimulationResult,
-    SimulationSetup,
-    run_comparison,
-    run_simulation,
-)
-from repro.workload import build_jobs, generate_trace
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Cluster",
-    "EngineConfig",
-    "MLFSConfig",
-    "MLFSScheduler",
-    "ResourceKind",
-    "ResourceVector",
-    "Server",
-    "SimulationEngine",
-    "SimulationResult",
-    "SimulationSetup",
-    "__version__",
-    "build_jobs",
-    "generate_trace",
-    "make_mlf_h",
-    "make_mlf_rl",
-    "make_mlfs",
-    "quick_compare",
-    "run_comparison",
-    "run_simulation",
-]
-
-
-def quick_compare(
-    num_jobs: int = 50,
-    num_servers: int = 10,
-    duration_hours: float = 4.0,
-    seed: int = 0,
-) -> dict[str, dict[str, float]]:
-    """Run MLFS variants and all baselines on one synthetic workload.
-
-    A convenience wrapper used by the README quickstart; returns
-    ``{scheduler_name: summary_dict}``.
-    """
-    from repro.baselines import (
-        FairScheduler,
-        GandivaScheduler,
-        GrapheneScheduler,
-        HyperSchedScheduler,
-        RLScheduler,
-        SLAQScheduler,
-        TiresiasScheduler,
-    )
-
-    records = generate_trace(
-        num_jobs, duration_seconds=duration_hours * 3600.0, seed=seed
-    )
-    setup = SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(num_servers, 4),
-        workload_seed=seed + 1,
-    )
-    schedulers = [
-        make_mlfs(),
-        make_mlf_rl(),
-        make_mlf_h(),
-        GrapheneScheduler(),
-        TiresiasScheduler(),
-        HyperSchedScheduler(),
-        RLScheduler(),
-        GandivaScheduler(),
-        FairScheduler(),
-        SLAQScheduler(),
-    ]
-    results = run_comparison(schedulers, setup)
-    return {name: result.summary() for name, result in results.items()}

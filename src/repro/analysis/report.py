@@ -1,18 +1,23 @@
 """Markdown report generation for comparison runs.
 
-Turns a ``{scheduler: SimulationResult}`` mapping (the output of
-:func:`repro.sim.run_comparison`) into a self-contained Markdown report:
-a headline table, per-metric rankings with the paper's improvement
-ratio ``(y - z) / z``, and a JCT distribution section.
+Turns a ``{scheduler: run record}`` mapping (records as returned by
+:func:`repro.api.run`, one per scheduler over the same workload) into a
+self-contained Markdown report: a headline table, per-metric rankings
+with the paper's improvement ratio ``(y - z) / z``, and a JCT
+distribution section.  A record's deterministic ``summary`` and its
+wall-clock ``measured`` side-channel (``overhead_ms``) are read as one
+set of metrics; the JCT percentiles come from its sorted ``jct_cdf``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
-from repro.analysis.cdf import percentile
+from repro.analysis.cdf import percentile_sorted
 from repro.analysis.tables import format_table
-from repro.sim.simulation import SimulationResult
+
+#: ``{scheduler: run record}``, the input of every function here.
+Records = Mapping[str, Mapping[str, Any]]
 
 #: Metrics where lower values are better.
 LOWER_IS_BETTER = {
@@ -36,18 +41,21 @@ HEADLINE_METRICS = [
 ]
 
 
-def best_scheduler(
-    results: Mapping[str, SimulationResult], metric: str
-) -> tuple[str, float]:
+def metrics_of(record: Mapping[str, Any]) -> dict[str, float]:
+    """A run record's metrics: its ``summary`` plus its ``measured`` values."""
+    return {**record["summary"], **record["measured"]}
+
+
+def best_scheduler(results: Records, metric: str) -> tuple[str, float]:
     """The winning scheduler and its value on one metric."""
-    pairs = [(name, r.summary()[metric]) for name, r in results.items()]
+    pairs = [(name, metrics_of(r)[metric]) for name, r in results.items()]
     if metric in LOWER_IS_BETTER:
         return min(pairs, key=lambda kv: kv[1])
     return max(pairs, key=lambda kv: kv[1])
 
 
 def improvement_over(
-    results: Mapping[str, SimulationResult],
+    results: Records,
     metric: str,
     subject: str,
     reference: str,
@@ -56,8 +64,8 @@ def improvement_over(
 
     Positive = subject better, using the metric's direction.
     """
-    s = results[subject].summary()[metric]
-    r = results[reference].summary()[metric]
+    s = metrics_of(results[subject])[metric]
+    r = metrics_of(results[reference])[metric]
     if r == 0:
         return 0.0
     if metric in LOWER_IS_BETTER:
@@ -66,7 +74,7 @@ def improvement_over(
 
 
 def render_report(
-    results: Mapping[str, SimulationResult],
+    results: Records,
     title: str = "Scheduler comparison",
     reference: str | None = None,
 ) -> str:
@@ -79,7 +87,7 @@ def render_report(
         raise ValueError("no results to report")
     names = list(results)
     if reference is None:
-        reference = max(names, key=lambda n: results[n].summary()["avg_jct_s"])
+        reference = max(names, key=lambda n: results[n]["summary"]["avg_jct_s"])
     if reference not in results:
         raise KeyError(f"unknown reference scheduler {reference!r}")
 
@@ -88,7 +96,7 @@ def render_report(
     # Headline table, sorted by average JCT.
     rows = sorted(
         (
-            [name] + [round(results[name].summary()[m], 3) for m in HEADLINE_METRICS]
+            [name] + [round(metrics_of(results[name])[m], 3) for m in HEADLINE_METRICS]
             for name in names
         ),
         key=lambda row: row[1],
@@ -118,16 +126,16 @@ def render_report(
     lines.append("")
     dist_rows = []
     for name in names:
-        jcts = [r.jct for r in results[name].metrics.job_records]
+        jcts = [jct for jct, _fraction in results[name]["jct_cdf"]]
         if not jcts:
             continue
         dist_rows.append(
             [
                 name,
-                round(percentile(jcts, 50.0), 1),
-                round(percentile(jcts, 90.0), 1),
-                round(percentile(jcts, 99.0), 1),
-                round(max(jcts), 1),
+                round(percentile_sorted(jcts, 50.0), 1),
+                round(percentile_sorted(jcts, 90.0), 1),
+                round(percentile_sorted(jcts, 99.0), 1),
+                round(jcts[-1], 1),
             ]
         )
     lines.append("```")

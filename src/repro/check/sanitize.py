@@ -500,7 +500,7 @@ def engine_state_digest(engine: "SimulationEngine") -> tuple[Any, ...]:
     faults = engine.faults.digest_state() if engine.faults is not None else None
     return (
         engine.now,
-        engine.round_index,
+        engine.pass_index,
         engine._pending_arrivals,
         engine._rng.getstate(),
         tuple(t.task_id for t in engine.queue),
@@ -549,7 +549,7 @@ def check_snapshot_roundtrip(
 
 _DIGEST_FIELDS = (
     "now",
-    "round_index",
+    "pass_index",
     "pending_arrivals",
     "rng_state",
     "queue",
@@ -599,7 +599,7 @@ class Sanitizer:
         decision: Optional["SchedulerDecision"] = None,
     ) -> None:
         """Audit one completed round; raises :class:`InvariantViolation`."""
-        round_index = engine.round_index
+        round_index = engine.pass_index
         self.rounds_checked += 1
         try:
             check_cluster_conservation(

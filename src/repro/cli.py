@@ -63,13 +63,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.report import render_report
-from repro.cluster import Cluster
-from repro.schedulers import SCHEDULER_FACTORIES, scheduler_by_name
-from repro.sim import EngineConfig, SimulationSetup, run_comparison, run_simulation
-from repro.workload import generate_trace, read_trace, write_trace
+from repro import api
+from repro.analysis.report import metrics_of, render_report
+from repro.workload import generate_trace, write_trace
 
-__all__ = ["SCHEDULER_FACTORIES", "scheduler_by_name", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 
 #: Commands run by a ``repro.check`` tool: name -> (module, help line).
@@ -483,20 +481,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_from_args(args) -> SimulationSetup:
-    records = read_trace(args.trace)
-    faults = None
-    if getattr(args, "faults", None):
-        from repro.faults import load_plan
-
-        faults = load_plan(args.faults)
-    return SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(args.servers, args.gpus_per_server),
-        workload_seed=args.seed,
-        engine_config=EngineConfig(tick_seconds=args.tick_seconds),
-        faults=faults,
+def _run_each(args, names: Sequence[str]) -> dict[str, api.RunRecord]:
+    """Run each named scheduler over the trace and cluster the flags give."""
+    for name in names:
+        if name not in api.SCHEDULER_FACTORIES:
+            known = ", ".join(sorted(api.SCHEDULER_FACTORIES))
+            raise SystemExit(f"unknown scheduler {name!r}; choose from: {known}")
+    faults = api.load_plan(args.faults) if args.faults else None
+    records = (
+        api.run(
+            api.RunSpec(
+                scheduler=api.SchedulerSpec(name),
+                workload=api.WorkloadSpec(trace_path=args.trace),
+                cluster=api.ClusterSpec(args.servers, args.gpus_per_server),
+                engine=api.EngineConfig(tick_seconds=args.tick_seconds),
+                seed=args.seed,
+                faults=faults,
+            )
+        )
+        for name in names
     )
+    return {record["scheduler"]: record for record in records}
 
 
 def cmd_trace(args) -> int:
@@ -516,20 +521,16 @@ def cmd_trace(args) -> int:
 
 def cmd_run(args) -> int:
     """Run a single scheduler over a trace."""
-    setup = _setup_from_args(args)
-    result = run_simulation(scheduler_by_name(args.scheduler), setup)
-    for key, value in result.summary().items():
+    (record,) = _run_each(args, [args.scheduler]).values()
+    for key, value in metrics_of(record).items():
         print(f"{key:24} {value:.3f}")
     return 0
 
 
 def cmd_compare(args) -> int:
     """Compare schedulers over the same trace; emit a Markdown report."""
-    setup = _setup_from_args(args)
     names = [n.strip() for n in args.schedulers.split(",") if n.strip()]
-    schedulers = [scheduler_by_name(n) for n in names]
-    results = run_comparison(schedulers, setup)
-    report = render_report(results, title=f"Comparison on {args.trace}")
+    report = render_report(_run_each(args, names), title=f"Comparison on {args.trace}")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)
@@ -846,12 +847,9 @@ def cmd_report(args) -> int:
 
 def _sweep_grid_from_args(args):
     """Build the sweep grid: from a JSON file or the inline flags."""
-    from repro import api
-    from repro.exp.grid import Grid
-
     if args.grid:
         with open(args.grid) as handle:
-            return Grid.from_json(json.load(handle))
+            return api.Grid.from_json(json.load(handle))
     schedulers = [n.strip() for n in args.schedulers.split(",") if n.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     jobs = [int(j) for j in args.jobs.split(",") if j.strip()]
@@ -877,13 +875,11 @@ def _sweep_grid_from_args(args):
         "workload.num_jobs": jobs,
         "seed": seeds,
     }
-    return Grid(base, axes={k: v for k, v in axes.items() if len(v) > 0})
+    return api.Grid(base, axes={k: v for k, v in axes.items() if len(v) > 0})
 
 
 def cmd_sweep(args) -> int:
     """Run an experiment sweep; exit 2 when any shard failed."""
-    from repro import api
-
     grid = _sweep_grid_from_args(args)
 
     def progress(update) -> None:

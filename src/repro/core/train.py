@@ -144,13 +144,3 @@ def train_mlf_rl_policy(
         reinforce_finetune(policy, setup, episodes=reinforce_episodes)
     return policy
 
-
-# Avoid re-training identical policies across benchmark invocations.
-_POLICY_CACHE: dict[tuple, ScoringPolicy] = {}
-
-
-def cached_policy(setup: TrainingSetup, cache_key: tuple) -> ScoringPolicy:
-    """Memoized :func:`train_mlf_rl_policy` for benchmark harnesses."""
-    if cache_key not in _POLICY_CACHE:
-        _POLICY_CACHE[cache_key] = train_mlf_rl_policy(setup)
-    return _POLICY_CACHE[cache_key]

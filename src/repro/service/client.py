@@ -93,11 +93,6 @@ class ServiceClient:
         self._file = None
         self._next_id = 0
 
-    @property
-    def socket_path(self) -> str:
-        """Back-compat alias for the connection target."""
-        return self.target
-
     # -- connection --------------------------------------------------------
 
     def _open(self) -> socket.socket:

@@ -262,7 +262,7 @@ class SchedulerService:
             job_id,
             "admission",
             self.engine.now,
-            round_index=self.engine.round_index,
+            round_index=self.engine.pass_index,
             detail=decision.value,
             model=spec.model_name,
             **({"trace_id": spec.trace_id} if spec.trace_id else {}),
@@ -336,7 +336,7 @@ class SchedulerService:
             self.snapshots is not None
             and self.config.snapshot_every > 0
             and result.ticked
-            and self.engine.round_index % self.config.snapshot_every == 0
+            and self.engine.pass_index % self.config.snapshot_every == 0
         ):
             self.snapshot_now()
         return result
@@ -420,7 +420,7 @@ class SchedulerService:
             return self._job_status(job_id, entry)
         return {
             "jobs": [self._job_status(jid, e) for jid, e in self._registry.items()],
-            "round": self.engine.round_index,
+            "round": self.engine.pass_index,
             "sim_time": self.engine.now,
             "pass_policy": self.engine.config.pass_policy,
             "parked": self.engine.parked,
@@ -455,7 +455,7 @@ class SchedulerService:
     def metrics(self) -> dict[str, Any]:
         """Engine/cluster metrics snapshot."""
         return {
-            "round": self.engine.round_index,
+            "round": self.engine.pass_index,
             "sim_time": self.engine.now,
             "queue_depth": len(self.engine.queue),
             "admission_queue_depth": self.admission.queue_depth,
@@ -505,7 +505,7 @@ class SchedulerService:
             raise ProtocolError(f"no server {server_id}")
         try:
             event = FaultEvent(
-                round_index=self.engine.round_index + 1,
+                round_index=self.engine.pass_index + 1,
                 kind=action,
                 server_id=server_id,
                 gpu_id=gpu_id,
@@ -516,7 +516,7 @@ class SchedulerService:
         self.fault_injector.inject(event)
         return {
             "queued": event.to_json(),
-            "applies_at_round": self.engine.round_index + 1,
+            "applies_at_round": self.engine.pass_index + 1,
         }
 
     def trace_dump(self, reset: bool = False) -> dict[str, Any]:
@@ -535,7 +535,7 @@ class SchedulerService:
         if self.snapshots is None:
             return None
         path = self.snapshots.save(
-            self, round_index=self.engine.round_index, sim_time=self.engine.now
+            self, round_index=self.engine.pass_index, sim_time=self.engine.now
         )
         return str(path)
 
@@ -691,7 +691,7 @@ class SchedulerDaemon:
 
     @_verbs("ping")
     async def _ping(self, request: Request) -> dict[str, Any]:
-        return {"pong": True, "role": "daemon", "round": self.core.engine.round_index}
+        return {"pong": True, "role": "daemon", "round": self.core.engine.pass_index}
 
     @_verbs("submit")
     async def _submit(self, request: Request) -> dict[str, Any]:
@@ -767,7 +767,7 @@ class SchedulerDaemon:
             events_processed += result.events_processed
             await asyncio.sleep(0)
         return {
-            "round": core.engine.round_index,
+            "round": core.engine.pass_index,
             "pass_index": core.engine.pass_index,
             "sim_time": core.engine.now,
             "passes": passes,

@@ -21,12 +21,6 @@ from repro.sim.network import (
     migration_volume_mb,
     pairwise_cross_volume,
 )
-from repro.sim.simulation import (
-    SimulationResult,
-    SimulationSetup,
-    run_comparison,
-    run_simulation,
-)
 
 __all__ = [
     "CommLink",
@@ -47,14 +41,10 @@ __all__ = [
     "SchedulingContext",
     "SimulationEngine",
     "SimulationMetrics",
-    "SimulationResult",
-    "SimulationSetup",
     "TaskQueue",
     "iteration_comm",
     "job_links",
     "migration_volume_mb",
     "pairwise_cross_volume",
-    "run_comparison",
-    "run_simulation",
 ]
 

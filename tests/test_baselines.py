@@ -18,12 +18,7 @@ from repro.cluster import Cluster
 from repro.core import FEATURE_SIZE
 from repro.learncurve import AccuracyPredictor, RuntimePredictor
 from repro.rl import ScoringPolicy
-from repro.sim import (
-    EngineConfig,
-    SchedulingContext,
-    SimulationSetup,
-    run_simulation,
-)
+from repro.sim import EngineConfig, SchedulingContext, SimulationEngine
 from repro.sim.shadow import ShadowCluster
 from repro.workload import build_jobs, generate_trace
 from tests.conftest import make_job
@@ -40,14 +35,17 @@ ALL_BASELINES = [
 ]
 
 
-def small_setup(num_jobs=12, seed=30, servers=4):
+def run_small(scheduler, num_jobs=12, seed=30, servers=4):
+    """Run ``scheduler`` over a small trace on a fresh cluster; its metrics."""
     records = generate_trace(num_jobs, duration_seconds=1800.0, seed=seed)
-    return SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(servers, 4),
-        workload_seed=seed + 1,
-        engine_config=EngineConfig(max_time=3 * 24 * 3600.0),
+    jobs = build_jobs(records, seed=seed + 1)
+    engine = SimulationEngine(
+        scheduler,
+        jobs,
+        Cluster.build(servers, 4),
+        EngineConfig(max_time=3 * 24 * 3600.0),
     )
+    return engine.run()
 
 
 def make_ctx(jobs, cluster, now=0.0):
@@ -93,9 +91,9 @@ class TestPackTasks:
 class TestEachBaselineRuns:
     @pytest.mark.parametrize("scheduler_cls", ALL_BASELINES)
     def test_completes_workload(self, scheduler_cls):
-        result = run_simulation(scheduler_cls(), small_setup())
-        assert result.summary()["jobs"] == 12
-        assert result.metrics.average_jct() > 0.0
+        metrics = run_small(scheduler_cls())
+        assert metrics.summary()["jobs"] == 12
+        assert metrics.average_jct() > 0.0
 
     @pytest.mark.parametrize("scheduler_cls", ALL_BASELINES)
     def test_gang_placement_all_or_nothing(self, scheduler_cls):
@@ -290,8 +288,7 @@ class TestHyperSched:
 class TestRLBaseline:
     def test_accepts_trained_policy(self):
         policy = ScoringPolicy(feature_size=FEATURE_SIZE, seed=4)
-        result = run_simulation(RLScheduler(policy), small_setup(seed=58))
-        assert result.summary()["jobs"] == 12
+        assert run_small(RLScheduler(policy), seed=58).summary()["jobs"] == 12
 
     def test_rejects_bad_feature_size(self):
         with pytest.raises(ValueError):

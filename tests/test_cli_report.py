@@ -2,25 +2,29 @@
 
 import pytest
 
+from repro import api
 from repro.analysis import best_scheduler, improvement_over, render_report
-from repro.baselines import FIFOScheduler
-from repro.cli import SCHEDULER_FACTORIES, build_parser, main, scheduler_by_name
+from repro.analysis.cdf import percentile
+from repro.baselines import TiresiasScheduler
+from repro.cli import build_parser, main
 from repro.cluster import Cluster
-from repro.core import make_mlf_h
-from repro.sim import EngineConfig, SimulationSetup, run_comparison
-from repro.workload import generate_trace, write_trace
+from repro.sim import EngineConfig, SimulationEngine
+from repro.workload import build_jobs, generate_trace, read_trace, write_trace
 
 
 @pytest.fixture(scope="module")
 def comparison_results():
-    records = generate_trace(8, duration_seconds=900.0, seed=100)
-    setup = SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(4, 4),
-        workload_seed=101,
-        engine_config=EngineConfig(),
+    spec = api.RunSpec(
+        scheduler=api.SchedulerSpec("MLF-H"),
+        workload=api.WorkloadSpec(num_jobs=8, duration_hours=0.25, trace_seed=100),
+        cluster=api.ClusterSpec(num_servers=4, gpus_per_server=4),
+        seed=101,
     )
-    return run_comparison([make_mlf_h(), FIFOScheduler()], setup)
+    records = [
+        api.run(api.replace_path(spec, "scheduler", api.SchedulerSpec(name)))
+        for name in ("MLF-H", "FIFO")
+    ]
+    return {record["scheduler"]: record for record in records}
 
 
 class TestReport:
@@ -42,27 +46,63 @@ class TestReport:
 
     def test_best_scheduler_direction(self, comparison_results):
         name_jct, value_jct = best_scheduler(comparison_results, "avg_jct_s")
-        for result in comparison_results.values():
-            assert result.summary()["avg_jct_s"] >= value_jct - 1e-9
+        for record in comparison_results.values():
+            assert record["summary"]["avg_jct_s"] >= value_jct - 1e-9
         name_acc, value_acc = best_scheduler(comparison_results, "avg_accuracy")
-        for result in comparison_results.values():
-            assert result.summary()["avg_accuracy"] <= value_acc + 1e-9
+        for record in comparison_results.values():
+            assert record["summary"]["avg_accuracy"] <= value_acc + 1e-9
+        name_oh, value_oh = best_scheduler(comparison_results, "overhead_ms")
+        for record in comparison_results.values():
+            assert record["measured"]["overhead_ms"] >= value_oh
 
     def test_improvement_sign_convention(self, comparison_results):
         winner, _ = best_scheduler(comparison_results, "avg_jct_s")
         other = next(n for n in comparison_results if n != winner)
         assert improvement_over(comparison_results, "avg_jct_s", winner, other) >= 0.0
 
+    def test_jct_distribution_from_records(self, comparison_results):
+        section = render_report(comparison_results).split("## JCT distribution")[1]
+        for name, record in comparison_results.items():
+            jcts = [jct for jct, _fraction in record["jct_cdf"]]
+            assert len(jcts) == record["summary"]["jobs"]
+            expected = [percentile(jcts, q) for q in (50.0, 90.0, 99.0)] + [max(jcts)]
+            row = next(line for line in section.splitlines() if line.startswith(name))
+            assert [float(cell) for cell in row.split()[1:]] == [
+                round(value, 1) for value in expected
+            ]
+
 
 class TestCLI:
-    def test_all_factories_construct(self):
-        for name in SCHEDULER_FACTORIES:
-            scheduler = scheduler_by_name(name)
-            assert scheduler.name == name or scheduler.name  # constructed
+    def test_unknown_scheduler_exits(self, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        write_trace(generate_trace(2, duration_seconds=600.0, seed=5), trace_path)
+        with pytest.raises(SystemExit, match="unknown scheduler 'nope'"):
+            main(["run", "--trace", str(trace_path), "--scheduler", "nope"])
 
-    def test_unknown_scheduler_exits(self):
-        with pytest.raises(SystemExit):
-            scheduler_by_name("nope")
+    def test_compare_checks_every_name_before_running(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.csv"
+        write_trace(generate_trace(2, duration_seconds=600.0, seed=5), trace_path)
+        with pytest.raises(SystemExit, match="unknown scheduler 'nope'"):
+            main(["compare", "--trace", str(trace_path), "--schedulers", "FIFO,nope"])
+        assert capsys.readouterr().out == ""
+
+    def test_run_matches_direct_engine(self, tmp_path, capsys):
+        records = generate_trace(6, duration_seconds=900.0, seed=7)
+        trace_path = tmp_path / "t.csv"
+        write_trace(records, trace_path)
+        argv = ["run", "--trace", str(trace_path), "--scheduler", "Tiresias"]
+        assert main(argv + ["--servers", "3", "--seed", "4", "--tick-seconds", "30"]) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        engine = SimulationEngine(
+            TiresiasScheduler(),
+            build_jobs(read_trace(trace_path), seed=4),
+            Cluster.build(3, 4),
+            EngineConfig(tick_seconds=30.0),
+        )
+        summary = engine.run().summary()
+        assert printed.keys() == summary.keys()
+        for key in summary.keys() - {"overhead_ms"}:
+            assert printed[key] == f"{summary[key]:.3f}", key
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -90,7 +130,8 @@ class TestCLI:
             ]
         )
         assert code == 0
-        assert "avg_jct_s" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "avg_jct_s" in out and "overhead_ms" in out
 
     def test_compare_command_writes_report(self, tmp_path, capsys):
         trace_path = tmp_path / "t.csv"

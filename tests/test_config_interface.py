@@ -5,15 +5,10 @@ import pytest
 from repro.core import DEFAULT_CONFIG, MLFSConfig, PriorityWeights, RewardWeights
 from repro.cluster import Cluster
 from repro.learncurve import AccuracyPredictor, RuntimePredictor
-from repro.sim import (
-    EngineConfig,
-    SchedulerDecision,
-    SchedulingContext,
-    SimulationSetup,
-    run_simulation,
-)
+from repro.baselines import FIFOScheduler
+from repro.sim import EngineConfig, SchedulerDecision, SchedulingContext, SimulationEngine
 from repro.sim.interface import Placement
-from repro.workload import generate_trace
+from repro.workload import build_jobs, generate_trace
 from tests.conftest import make_job
 
 
@@ -120,41 +115,28 @@ class TestSchedulingContext:
         assert not ctx2.system_overloaded()
 
 
-class TestSimulationSetup:
+class TestDirectRuns:
     def test_fresh_jobs_per_run(self):
         records = generate_trace(5, duration_seconds=600.0, seed=80)
-        setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(4, 4),
-            workload_seed=81,
-            engine_config=EngineConfig(),
-        )
-        from repro.baselines import FIFOScheduler
 
-        first = run_simulation(FIFOScheduler(), setup)
-        second = run_simulation(FIFOScheduler(), setup)
+        def run_once():
+            jobs = build_jobs(records, seed=81)
+            return SimulationEngine(FIFOScheduler(), jobs, Cluster.build(4, 4)).run()
+
+        first, second = run_once(), run_once()
         # Stateful Job objects must not leak between runs: identical
         # outcomes prove each run rebuilt its own workload.
-        assert [r.jct for r in first.metrics.job_records] == [
-            r.jct for r in second.metrics.job_records
+        assert [r.jct for r in first.job_records] == [
+            r.jct for r in second.job_records
         ]
 
-    def test_engine_config_override(self):
-        records = generate_trace(3, duration_seconds=600.0, seed=82)
-        setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(4, 4),
-            workload_seed=83,
-        )
-        from repro.baselines import FIFOScheduler
-
-        result = run_simulation(
-            FIFOScheduler(), setup, engine_config=EngineConfig(max_time=60.0)
+    def test_max_time_truncates(self):
+        jobs = build_jobs(generate_trace(3, duration_seconds=600.0, seed=82), seed=83)
+        engine = SimulationEngine(
+            FIFOScheduler(), jobs, Cluster.build(4, 4), EngineConfig(max_time=60.0)
         )
         # The 60-second cap truncates everything.
-        assert all(
-            r.completion_time <= 60.0 + 1e-6 for r in result.metrics.job_records
-        )
+        assert all(r.completion_time <= 60.0 + 1e-6 for r in engine.run().job_records)
 
 
 class TestEngineConfig:

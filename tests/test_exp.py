@@ -18,8 +18,8 @@ from repro.cluster import Cluster
 from repro.core.config import MLFSConfig
 from repro.exp.runner import error_record, run_shard
 from repro.schedulers import build_scheduler, mlfs_config_from_mapping
-from repro.sim import EngineConfig, SimulationSetup, run_simulation
-from repro.workload import generate_trace
+from repro.sim import SimulationEngine
+from repro.workload import build_jobs, generate_trace
 
 #: A tiny, fast workload shared by the sweep tests.
 SMALL = api.RunSpec(
@@ -132,14 +132,9 @@ class TestSweepDeterminism:
     def test_matches_direct_simulation(self):
         record = api.run(SMALL)
         records = generate_trace(6, duration_seconds=1800.0, seed=1)
-        setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(2, 2),
-            workload_seed=2,
-            engine_config=EngineConfig(),
-            workload_config=SMALL.workload.workload_config(),
-        )
-        direct = run_simulation(TiresiasScheduler(), setup).summary()
+        jobs = build_jobs(records, seed=2, config=SMALL.workload.workload_config())
+        engine = SimulationEngine(TiresiasScheduler(), jobs, Cluster.build(2, 2))
+        direct = engine.run().summary()
         direct.pop("overhead_ms")
         assert record["summary"] == direct
 
@@ -258,13 +253,9 @@ class TestCommIndexLifecycle:
     def test_rl_baseline_forgets_completed_jobs(self):
         records = generate_trace(8, duration_seconds=1800.0, seed=3)
         scheduler = RLScheduler()
-        setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(2, 2),
-            workload_seed=4,
-        )
-        result = run_simulation(scheduler, setup)
-        assert result.summary()["jobs"] > 0
+        jobs = build_jobs(records, seed=4)
+        metrics = SimulationEngine(scheduler, jobs, Cluster.build(2, 2)).run()
+        assert metrics.summary()["jobs"] > 0
         # every completed job's peer cache must have been invalidated
         assert len(scheduler.comm_index) == 0
 

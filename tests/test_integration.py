@@ -1,43 +1,49 @@
 """End-to-end integration tests across the full stack."""
 
+import dataclasses
+
 import pytest
 
-from repro import quick_compare
-from repro.baselines import FIFOScheduler, GrapheneScheduler
-from repro.cluster import Cluster
-from repro.core import make_mlf_h, make_mlf_rl, make_mlfs
-from repro.sim import EngineConfig, SimulationSetup, run_comparison, run_simulation
-from repro.workload import WorkloadConfig, generate_trace
+from repro import api
 
 
-def setup_for(num_jobs, servers, seed=70, window=3600.0, deadline_hours=(0.5, 6.0)):
-    records = generate_trace(num_jobs, duration_seconds=window, seed=seed)
-    return SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(servers, 4),
-        workload_seed=seed + 1,
-        engine_config=EngineConfig(max_time=7 * 24 * 3600.0),
-        workload_config=WorkloadConfig(deadline_uniform_range_hours=deadline_hours),
+def spec_for(num_jobs, servers, seed=70, window=3600.0, deadline_hours=(0.5, 6.0)):
+    return api.RunSpec(
+        scheduler=api.SchedulerSpec("MLF-H"),
+        workload=api.WorkloadSpec(
+            num_jobs=num_jobs,
+            duration_hours=window / 3600.0,
+            trace_seed=seed,
+            deadline_hours=deadline_hours,
+        ),
+        cluster=api.ClusterSpec(num_servers=servers, gpus_per_server=4),
+        engine=api.EngineConfig(max_time=7 * 24 * 3600.0),
+        seed=seed + 1,
     )
+
+
+def scheduler_axis(*names):
+    return {"scheduler": [api.SchedulerSpec(name) for name in names]}
 
 
 class TestComparisons:
     def test_same_workload_across_schedulers(self):
-        setup = setup_for(10, 4)
-        results = run_comparison([make_mlf_h(), FIFOScheduler()], setup)
-        assert set(results) == {"MLF-H", "FIFO"}
-        for result in results.values():
-            assert result.summary()["jobs"] == 10
+        grid = api.Grid(spec_for(10, 4), axes=scheduler_axis("MLF-H", "FIFO"))
+        records = api.sweep(grid, workers=0).ok()
+        assert [r["scheduler"] for r in records] == ["MLF-H", "FIFO"]
+        assert all(r["summary"]["jobs"] == 10 for r in records)
 
-    def test_factories_accepted(self):
-        setup = setup_for(8, 4, seed=71)
-        results = run_comparison([make_mlfs, make_mlf_rl], setup)
-        assert set(results) == {"MLFS", "MLF-RL"}
-
-    def test_quick_compare_smoke(self):
-        results = quick_compare(num_jobs=10, num_servers=4, duration_hours=0.5, seed=72)
-        assert len(results) == 10
-        assert all(v["jobs"] == 10 for v in results.values())
+    def test_every_registered_scheduler_runs(self):
+        spec = api.RunSpec(
+            scheduler=api.SchedulerSpec("MLF-H"),
+            workload=api.WorkloadSpec(num_jobs=10, duration_hours=0.5, trace_seed=72),
+            cluster=api.ClusterSpec(num_servers=4, gpus_per_server=4),
+            seed=73,
+        )
+        names = list(api.SCHEDULER_FACTORIES)
+        records = api.sweep(api.Grid(spec, axes=scheduler_axis(*names)), workers=0).ok()
+        assert [r["scheduler"] for r in records] == names
+        assert all(r["summary"]["jobs"] == 10 for r in records)
 
 
 class TestPaperShapes:
@@ -45,12 +51,11 @@ class TestPaperShapes:
 
     @pytest.fixture(scope="class")
     def contended(self):
-        setup = setup_for(60, 3, seed=73, window=1800.0)
-        schedulers = [make_mlfs(), make_mlf_h(), GrapheneScheduler(), FIFOScheduler()]
-        return {
-            name: result.summary()
-            for name, result in run_comparison(schedulers, setup).items()
-        }
+        grid = api.Grid(
+            spec_for(60, 3, seed=73, window=1800.0),
+            axes=scheduler_axis("MLFS", "MLF-H", "Graphene", "FIFO"),
+        )
+        return {r["scheduler"]: r["summary"] for r in api.sweep(grid, workers=0).ok()}
 
     def test_mlfs_beats_fifo_on_jct(self, contended):
         assert contended["MLFS"]["avg_jct_s"] < contended["FIFO"]["avg_jct_s"]
@@ -72,49 +77,49 @@ class TestPaperShapes:
 @pytest.mark.slow
 class TestAblations:
     def test_migration_reduces_overload_occurrences(self):
-        from repro.core import MLFSConfig
-
-        setup = setup_for(50, 2, seed=74, window=1800.0)
-        on = run_simulation(
-            make_mlf_h(MLFSConfig(enable_migration=True, enable_load_control=False)),
-            setup,
+        spec = spec_for(50, 2, seed=74, window=1800.0)
+        on, off = (
+            api.run(
+                dataclasses.replace(
+                    spec,
+                    scheduler=api.SchedulerSpec(
+                        "MLF-H",
+                        {"enable_migration": migrate, "enable_load_control": False},
+                    ),
+                )
+            )["summary"]
+            for migrate in (True, False)
         )
-        off = run_simulation(
-            make_mlf_h(MLFSConfig(enable_migration=False, enable_load_control=False)),
-            setup,
-        )
-        assert on.metrics.num_migrations > 0
-        assert off.metrics.num_migrations == 0
-        assert (
-            on.metrics.overload_occurrences <= off.metrics.overload_occurrences
-        )
+        assert on["migrations"] > 0
+        assert off["migrations"] == 0
+        assert on["overload_occurrences"] <= off["overload_occurrences"]
 
     def test_load_control_reduces_jct_under_overload(self):
-        setup = setup_for(60, 2, seed=75, window=1800.0)
-        with_c = run_simulation(make_mlfs(), setup)
-        without_c = run_simulation(make_mlf_rl(), setup)
+        spec = spec_for(60, 2, seed=75, window=1800.0)
+        with_c = api.run(dataclasses.replace(spec, scheduler=api.SchedulerSpec("MLFS")))
+        without_c = api.run(
+            dataclasses.replace(spec, scheduler=api.SchedulerSpec("MLF-RL"))
+        )
         assert (
-            with_c.summary()["avg_jct_s"] <= without_c.summary()["avg_jct_s"] * 1.05
+            with_c["summary"]["avg_jct_s"] <= without_c["summary"]["avg_jct_s"] * 1.05
         )
 
 
 class TestStragglers:
     def test_straggler_injection_slows_jobs(self):
-        records = generate_trace(10, duration_seconds=600.0, seed=76)
-        base = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(6, 4),
-            workload_seed=77,
-            engine_config=EngineConfig(),
-        )
-        clean = run_simulation(make_mlf_h(), base)
-        slow_setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(6, 4),
-            workload_seed=77,
-            engine_config=EngineConfig(
-                straggler_probability=0.5, straggler_slowdown=4.0
+        clean = api.RunSpec(
+            scheduler=api.SchedulerSpec("MLF-H"),
+            workload=api.WorkloadSpec(
+                num_jobs=10, duration_hours=600.0 / 3600.0, trace_seed=76
             ),
+            cluster=api.ClusterSpec(num_servers=6, gpus_per_server=4),
+            seed=77,
         )
-        slowed = run_simulation(make_mlf_h(), slow_setup)
-        assert slowed.summary()["avg_jct_s"] > clean.summary()["avg_jct_s"]
+        slow = dataclasses.replace(
+            clean,
+            engine=api.EngineConfig(straggler_probability=0.5, straggler_slowdown=4.0),
+        )
+        assert (
+            api.run(slow)["summary"]["avg_jct_s"]
+            > api.run(clean)["summary"]["avg_jct_s"]
+        )

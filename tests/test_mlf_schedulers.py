@@ -20,24 +20,33 @@ from repro.core import (
 )
 from repro.core.mlf_h import completion_boosts, order_pool
 from repro.rl import ScoringPolicy
-from repro.sim import (
-    EngineConfig,
-    SchedulingContext,
-    SimulationSetup,
-    run_simulation,
-)
+from repro.sim import EngineConfig, SchedulingContext, SimulationEngine
 from repro.learncurve import AccuracyPredictor, RuntimePredictor
 from repro.workload import StopOption, build_jobs, generate_trace
 from tests.conftest import make_job
 
 
-def small_setup(num_jobs=15, seed=1, servers=4, max_days=3):
-    records = generate_trace(num_jobs, duration_seconds=1800.0, seed=seed)
-    return SimulationSetup(
-        records=records,
-        cluster_factory=lambda: Cluster.build(servers, 4),
+SMALL_ENGINE = EngineConfig(max_time=3 * 24 * 3600.0)
+
+
+def small_records(num_jobs=15, seed=1):
+    return generate_trace(num_jobs, duration_seconds=1800.0, seed=seed)
+
+
+def run_small(scheduler, num_jobs=15, seed=1, servers=4):
+    """Run ``scheduler`` over a small trace on a fresh cluster; its metrics."""
+    jobs = build_jobs(small_records(num_jobs, seed), seed=seed + 1)
+    return SimulationEngine(scheduler, jobs, Cluster.build(servers, 4), SMALL_ENGINE).run()
+
+
+def small_training(num_jobs, seed):
+    """The MLF-H imitation recipe over the same small trace and cluster."""
+    return TrainingSetup(
+        records=small_records(num_jobs, seed),
+        cluster_factory=lambda: Cluster.build(4, 4),
+        config=MLFSConfig(enable_load_control=False),
+        engine_config=SMALL_ENGINE,
         workload_seed=seed + 1,
-        engine_config=EngineConfig(max_time=max_days * 24 * 3600.0),
     )
 
 
@@ -81,8 +90,7 @@ class TestOrderingHelpers:
 
 class TestMLFH:
     def test_simulation_completes_all_jobs(self):
-        result = run_simulation(make_mlf_h(), small_setup())
-        assert result.summary()["jobs"] == 15
+        assert run_small(make_mlf_h()).summary()["jobs"] == 15
 
     def test_places_whole_jobs(self):
         jobs = build_jobs(generate_trace(3, duration_seconds=10.0, seed=4), seed=5)
@@ -122,36 +130,24 @@ class TestMLFH:
             assert util.gpu <= 1.0 + 1e-6
 
     def test_decision_recorder_collects(self):
-        setup = small_setup(num_jobs=10, seed=8)
-        training = TrainingSetup(
-            records=setup.records,
-            cluster_factory=setup.cluster_factory,
-            config=MLFSConfig(enable_load_control=False),
-            engine_config=setup.engine_config,
-            workload_seed=setup.workload_seed,
-        )
-        buffer = collect_imitation_data(training)
+        buffer = collect_imitation_data(small_training(num_jobs=10, seed=8))
         assert len(buffer) > 0
         decision = next(iter(buffer))
         assert decision.features.shape[1] == FEATURE_SIZE
 
     def test_migration_disabled_by_config(self):
         config = MLFSConfig(enable_migration=False, enable_load_control=False)
-        result = run_simulation(
-            make_mlf_h(config), small_setup(num_jobs=25, seed=9, servers=2)
-        )
-        assert result.metrics.num_migrations == 0
+        metrics = run_small(make_mlf_h(config), num_jobs=25, seed=9, servers=2)
+        assert metrics.num_migrations == 0
 
 
 class TestMLFRL:
     def test_without_policy_matches_heuristic_family(self):
-        result = run_simulation(make_mlf_rl(), small_setup(seed=10))
-        assert result.summary()["jobs"] == 15
+        assert run_small(make_mlf_rl(), seed=10).summary()["jobs"] == 15
 
     def test_with_policy_runs(self):
         policy = ScoringPolicy(feature_size=FEATURE_SIZE, seed=1)
-        result = run_simulation(make_mlf_rl(policy), small_setup(seed=11))
-        assert result.summary()["jobs"] == 15
+        assert run_small(make_mlf_rl(policy), seed=11).summary()["jobs"] == 15
 
     def test_feature_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -166,14 +162,7 @@ class TestMLFRL:
             policy=policy,
             explore=True,
         )
-        setup = small_setup(seed=12)
-        jobs = build_jobs(setup.records, seed=setup.workload_seed)
-        from repro.sim import SimulationEngine
-
-        engine = SimulationEngine(
-            scheduler, jobs, setup.cluster_factory(), setup.engine_config
-        )
-        engine.run()
+        run_small(scheduler, seed=12)
         trajectory = scheduler.reset_trajectory()
         assert len(trajectory) > 0
         assert len(scheduler.trajectory) == 0
@@ -255,8 +244,7 @@ class TestMLFC:
 
 class TestMLFS:
     def test_full_system_runs(self):
-        result = run_simulation(make_mlfs(), small_setup(seed=16))
-        assert result.summary()["jobs"] == 15
+        assert run_small(make_mlfs(), seed=16).summary()["jobs"] == 15
 
     def test_starts_in_rl_phase_with_policy(self):
         policy = ScoringPolicy(feature_size=FEATURE_SIZE, seed=2)
@@ -270,49 +258,26 @@ class TestMLFS:
     def test_auto_switch_after_enough_decisions(self):
         config = MLFSConfig(rl_switch_decisions=50)
         scheduler = MLFSScheduler(config=config)
-        setup = small_setup(num_jobs=30, seed=17, servers=3)
-        jobs = build_jobs(setup.records, seed=setup.workload_seed)
-        from repro.sim import SimulationEngine
-
-        engine = SimulationEngine(
-            scheduler, jobs, setup.cluster_factory(), setup.engine_config
-        )
-        engine.run()
+        run_small(scheduler, num_jobs=30, seed=17, servers=3)
         assert len(scheduler.imitation_buffer) >= 50
         assert scheduler.phase is Phase.RL
 
     def test_mlfs_stops_jobs_early_under_overload(self):
-        result = run_simulation(
-            make_mlfs(), small_setup(num_jobs=40, seed=18, servers=2)
-        )
-        stopped = [r for r in result.metrics.job_records if r.stopped_early]
+        metrics = run_small(make_mlfs(), num_jobs=40, seed=18, servers=2)
+        stopped = [r for r in metrics.job_records if r.stopped_early]
         assert stopped  # MLF-C fired
 
 
 class TestTrainingPipeline:
     def test_pretrain_reaches_agreement(self):
-        setup = small_setup(num_jobs=20, seed=19)
-        training = TrainingSetup(
-            records=setup.records,
-            cluster_factory=setup.cluster_factory,
-            config=MLFSConfig(enable_load_control=False),
-            engine_config=setup.engine_config,
-            workload_seed=setup.workload_seed,
-        )
-        buffer = collect_imitation_data(training)
+        buffer = collect_imitation_data(small_training(num_jobs=20, seed=19))
         policy, stats = pretrain_policy(buffer, epochs=2)
         assert stats["agreement"] > 0.5
         assert policy.feature_size == FEATURE_SIZE
 
     def test_reinforce_finetune_runs(self):
-        setup = small_setup(num_jobs=8, seed=20)
-        training = TrainingSetup(
-            records=setup.records,
-            cluster_factory=setup.cluster_factory,
-            config=MLFSConfig(enable_load_control=False),
-            engine_config=setup.engine_config,
-            workload_seed=setup.workload_seed,
-        )
         policy = ScoringPolicy(feature_size=FEATURE_SIZE, seed=3)
-        history = reinforce_finetune(policy, training, episodes=2)
+        history = reinforce_finetune(
+            policy, small_training(num_jobs=8, seed=20), episodes=2
+        )
         assert len(history) == 2

@@ -8,7 +8,7 @@ from repro.baselines import FIFOScheduler, TiresiasScheduler
 from repro.cluster import Cluster
 from repro.core import make_mlf_h
 from repro.faults import FaultEvent, FaultPlan
-from repro.sim import EngineConfig, SimulationEngine, SimulationSetup, run_simulation
+from repro.sim import EngineConfig, SimulationEngine
 from repro.workload import build_jobs, generate_trace
 
 # Hypothesis sweeps over whole simulations: minutes of wall clock.  Run
@@ -103,19 +103,15 @@ def test_identical_seeds_identical_outcomes(seed):
     records = generate_trace(6, duration_seconds=900.0, seed=seed)
 
     def run_once():
-        setup = SimulationSetup(
-            records=records,
-            cluster_factory=lambda: Cluster.build(4, 4),
-            workload_seed=seed + 1,
-            engine_config=EngineConfig(seed=seed),
+        jobs = build_jobs(records, seed=seed + 1)
+        engine = SimulationEngine(
+            make_mlf_h(), jobs, Cluster.build(4, 4), EngineConfig(seed=seed)
         )
-        return run_simulation(make_mlf_h(), setup)
+        return engine.run()
 
     a, b = run_once(), run_once()
-    assert [r.jct for r in a.metrics.job_records] == [
-        r.jct for r in b.metrics.job_records
-    ]
-    assert a.metrics.bandwidth_mb == b.metrics.bandwidth_mb
+    assert [r.jct for r in a.job_records] == [r.jct for r in b.job_records]
+    assert a.bandwidth_mb == b.bandwidth_mb
 
 
 @given(

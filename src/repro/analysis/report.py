@@ -7,6 +7,7 @@ with the paper's improvement ratio ``(y - z) / z``, and a JCT
 distribution section.  A record's deterministic ``summary`` and its
 wall-clock ``measured`` side-channel (``overhead_ms``) are read as one
 set of metrics; the JCT percentiles come from its sorted ``jct_cdf``.
+Records of :func:`repro.api.sweep` lack ``measured`` and are refused.
 """
 
 from __future__ import annotations
@@ -42,7 +43,18 @@ HEADLINE_METRICS = [
 
 
 def metrics_of(record: Mapping[str, Any]) -> dict[str, float]:
-    """A run record's metrics: its ``summary`` plus its ``measured`` values."""
+    """A run record's metrics: its ``summary`` plus its ``measured`` values.
+
+    Only :func:`repro.api.run` records carry ``measured``: a sweep moves
+    it to ``SweepResult.measured`` (keyed by digest; cached shards have
+    none), so its records are refused rather than reported without
+    ``overhead_ms``.
+    """
+    if "measured" not in record:
+        raise ValueError(
+            f"the {record['scheduler']} record has no 'measured' values;"
+            " the report takes api.run records"
+        )
     return {**record["summary"], **record["measured"]}
 
 

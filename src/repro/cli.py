@@ -65,6 +65,7 @@ from typing import Optional, Sequence
 
 from repro import api
 from repro.analysis.report import metrics_of, render_report
+from repro.schedulers import scheduler_by_name
 from repro.workload import generate_trace, write_trace
 
 __all__ = ["build_parser", "main"]
@@ -484,9 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_each(args, names: Sequence[str]) -> dict[str, api.RunRecord]:
     """Run each named scheduler over the trace and cluster the flags give."""
     for name in names:
-        if name not in api.SCHEDULER_FACTORIES:
-            known = ", ".join(sorted(api.SCHEDULER_FACTORIES))
-            raise SystemExit(f"unknown scheduler {name!r}; choose from: {known}")
+        scheduler_by_name(name)  # unknown names exit with one line
     faults = api.load_plan(args.faults) if args.faults else None
     records = (
         api.run(

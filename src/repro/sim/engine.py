@@ -308,7 +308,7 @@ class SimulationEngine:
         self._finalized = False
         self._max_time_reached = False
         self._ticks_pending = 0
-        self._pass_index = 0
+        self._round_index = 0
         # Event-driven pass control: a "parked" engine has no scheduling
         # pass pending; ``_anchor`` is the time of the last pass and
         # defines the grid re-armed passes snap back onto.
@@ -346,7 +346,7 @@ class SimulationEngine:
     @property
     def pass_index(self) -> int:
         """Number of scheduling passes executed so far."""
-        return self._pass_index
+        return self._round_index
 
     @property
     def parked(self) -> bool:
@@ -419,14 +419,14 @@ class SimulationEngine:
             if self.is_drained or ticked:
                 break
         if ticked:
-            self._pass_index += 1
+            self._round_index += 1
         if self.sanitizer is not None and events_processed:
             decision = self._last_decision if ticked else None
             self._last_decision = None
             self.sanitizer.check_round(self, decision=decision)
         counters = self._round_counters
         result = PassResult(
-            pass_index=self._pass_index,
+            pass_index=self._round_index,
             sim_time=self.now,
             ticked=ticked,
             events_processed=events_processed,
@@ -526,7 +526,7 @@ class SimulationEngine:
             job.job_id,
             "rejected",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             detail=reason,
         )
 
@@ -584,7 +584,7 @@ class SimulationEngine:
             job.job_id,
             "submitted",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             detail=job.model.name,
             gpus=job.gpus_requested,
         )
@@ -592,7 +592,7 @@ class SimulationEngine:
             job.job_id,
             "queued",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             tasks=len(job.tasks),
         )
         self.scheduler.on_job_arrival(job, self.now)
@@ -621,7 +621,7 @@ class SimulationEngine:
             try:
                 with self.obs.span(
                     "round",
-                    round=self._pass_index,
+                    round=self._round_index,
                     queue=len(self.queue),
                     active_jobs=len(self.active_jobs),
                 ):
@@ -675,10 +675,10 @@ class SimulationEngine:
             return False
         if self._stall_counter:
             return False
-        # ``_pass_index`` increments after the tick; the pass running
-        # right now is round ``_pass_index + 1`` and its plan events
+        # ``_round_index`` increments after the tick; the pass running
+        # right now is round ``_round_index + 1`` and its plan events
         # have already fired in this pass's fault phase.
-        if self.faults is not None and self.faults.armed_after(self._pass_index + 1):
+        if self.faults is not None and self.faults.armed_after(self._round_index + 1):
             return False
         if self.cluster.overloaded_servers(self.config.overload_threshold):
             return False
@@ -766,10 +766,10 @@ class SimulationEngine:
         injector = self.faults
         if injector is None or injector.is_idle:
             return
-        # ``_pass_index`` increments after the tick, so the round being
-        # executed is reported as ``_pass_index + 1`` — plan round
+        # ``_round_index`` increments after the tick, so the round being
+        # executed is reported as ``_round_index + 1`` — plan round
         # indices refer to those reported (1-based) round numbers.
-        this_round = self._pass_index + 1
+        this_round = self._round_index + 1
         events = injector.take_events(this_round)
         if not events:
             return
@@ -867,7 +867,7 @@ class SimulationEngine:
             task.job_id,
             "fault_killed",
             self.now,
-            round_index=self._pass_index + 1,
+            round_index=self._round_index + 1,
             task_id=task.task_id,
             server_id=server.server_id,
             detail=reason,
@@ -900,7 +900,7 @@ class SimulationEngine:
             job.job_id,
             "rolled_back",
             self.now,
-            round_index=self._pass_index + 1,
+            round_index=self._round_index + 1,
             iterations_lost=lost,
             checkpoint=checkpointed,
         )
@@ -939,7 +939,7 @@ class SimulationEngine:
             task.job_id,
             "placed",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             task_id=task.task_id,
             server_id=server_id,
             gpu_id=landed.gpu_id,
@@ -961,7 +961,7 @@ class SimulationEngine:
             task.job_id,
             "evicted",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             task_id=task.task_id,
             server_id=src_server_id,
         )
@@ -992,7 +992,7 @@ class SimulationEngine:
             task.job_id,
             "migrated",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             task_id=task.task_id,
             server_id=dst_server_id,
             gpu_id=landed.gpu_id,
@@ -1092,7 +1092,7 @@ class SimulationEngine:
             job.job_id,
             "stopped" if stopped_early else "completed",
             self.now,
-            round_index=self._pass_index,
+            round_index=self._round_index,
             jct=job.completion_time - job.arrival_time,
             iterations=job.iterations_completed,
         )

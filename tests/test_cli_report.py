@@ -8,6 +8,7 @@ from repro.analysis.cdf import percentile
 from repro.baselines import TiresiasScheduler
 from repro.cli import build_parser, main
 from repro.cluster import Cluster
+from repro.schedulers import scheduler_by_name
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workload import build_jobs, generate_trace, read_trace, write_trace
 
@@ -71,8 +72,19 @@ class TestReport:
                 round(value, 1) for value in expected
             ]
 
+    def test_sweep_records_refused(self, comparison_results):
+        spec = api.RunSpec.from_json(comparison_results["FIFO"]["spec"])
+        (record,) = api.sweep([spec], workers=0).ok()
+        assert "measured" not in record
+        with pytest.raises(ValueError, match="takes api.run records"):
+            render_report({"FIFO": record})
+
 
 class TestCLI:
+    def test_scheduler_by_name_exits_on_unknown(self):
+        with pytest.raises(SystemExit, match="unknown scheduler 'nope'"):
+            scheduler_by_name("nope")
+
     def test_unknown_scheduler_exits(self, tmp_path):
         trace_path = tmp_path / "t.csv"
         write_trace(generate_trace(2, duration_seconds=600.0, seed=5), trace_path)

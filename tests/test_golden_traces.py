@@ -32,6 +32,13 @@ from repro.rl.policy import ScoringPolicy
 from repro.service.telemetry import RunningJctStats, pass_record
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workload import build_jobs, generate_trace
+from repro.workload.synthetic import (
+    PHILLY_DURATION_SECONDS,
+    PHILLY_NUM_JOBS,
+    PhillyLikeTraceGenerator,
+    philly_cluster,
+    philly_scale_config,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -51,16 +58,59 @@ FAULT_PLAN = FaultPlan(
 )
 
 
+#: The Philly scenario's plan: a busy server crashes and comes back, and
+#: one GPU of another busy server fails and comes back.
+PHILLY_FAULT_PLAN = FaultPlan(
+    events=(
+        FaultEvent(round_index=20, kind="server_crash", server_id=0),
+        FaultEvent(round_index=30, kind="gpu_fail", server_id=2, gpu_id=0),
+        FaultEvent(round_index=45, kind="server_revive", server_id=0),
+        FaultEvent(round_index=55, kind="gpu_revive", server_id=2, gpu_id=0),
+    ),
+    checkpoint_period=3,
+)
+#: Jobs in the Philly scenario, at the full trace's arrival density.
+PHILLY_JOBS = 180
+
+
+def small_setup() -> tuple[list, Cluster, EngineConfig]:
+    """10 jobs on 4 servers of 4 GPUs, fixed passes."""
+    records = generate_trace(10, duration_seconds=3600.0, seed=29)
+    return (
+        build_jobs(records, seed=30),
+        Cluster.build(4, 4),
+        EngineConfig(seed=31, max_time=14 * 24 * 3600.0),
+    )
+
+
+def philly_setup() -> tuple[list, Cluster, EngineConfig]:
+    """A window of the Philly trace on the 550-server fleet, event passes."""
+    config = philly_scale_config(
+        num_jobs=PHILLY_JOBS,
+        duration_seconds=PHILLY_DURATION_SECONDS * PHILLY_JOBS / PHILLY_NUM_JOBS,
+    )
+    records = PhillyLikeTraceGenerator(config=config, seed=29).generate()
+    return (
+        build_jobs(records, seed=30),
+        philly_cluster(),
+        EngineConfig(seed=31, max_time=14 * 24 * 3600.0, pass_policy="event"),
+    )
+
+
 def _mlf_rl_policy() -> ScoringPolicy:
     """A seeded scoring policy — deterministic without pretraining."""
     return ScoringPolicy(feature_size=FEATURE_SIZE, seed=7)
 
 
-#: scenario name -> (scheduler factory, fault plan or None)
+#: scenario name -> (scheduler factory, fault plan or None[, set-up]);
+#: the set-up defaults to :func:`small_setup`.
 SCENARIOS = {
     "mlf_h": (make_mlf_h, None),
     "mlf_rl": (lambda: make_mlf_rl(policy=_mlf_rl_policy()), None),
     "mlf_h_faults": (make_mlf_h, FAULT_PLAN),
+    # MLF-H at the scale the paper targets: 550 mixed 4/5-GPU servers,
+    # so every pass's overload_degree pins O_c over the whole fleet.
+    "philly": (make_mlf_h, PHILLY_FAULT_PLAN, philly_setup),
     # Full MLFS: MLF-C's learning-curve fits and stops, and an early
     # switch from MLF-H to MLF-RL.
     "mlfs": (
@@ -85,17 +135,15 @@ def trace_scenario(name: str) -> list[str]:
 
 def run_scenario(name: str) -> tuple[list[str], SimulationEngine]:
     """Run one scenario; return its telemetry lines and the finished engine."""
-    factory, plan = SCENARIOS[name]
-    records = generate_trace(10, duration_seconds=3600.0, seed=29)
-    jobs = build_jobs(records, seed=30)
+    factory, plan, *setup = SCENARIOS[name]
+    jobs, cluster, config = (setup[0] if setup else small_setup)()
     engine = SimulationEngine(
-        factory(),
-        jobs,
-        Cluster.build(4, 4),
-        EngineConfig(seed=31, max_time=14 * 24 * 3600.0),
-        sanitize=True,
-        faults=plan,
+        factory(), jobs, cluster, config, sanitize=True, faults=plan
     )
+    if name == "philly":
+        # A 550-server engine takes ~0.1 s to pickle: round-trip it on
+        # every 10th pass rather than every pass.
+        engine.sanitizer.snapshot_every = 10
     engine.start()
     stats = RunningJctStats()
     lines: list[str] = []
@@ -142,9 +190,10 @@ def test_golden_trace(name, update_golden):
         )
 
 
-def test_fault_scenario_actually_faults(update_golden):
-    """Guard: the fault golden trace is not silently fault-free."""
-    records = [json.loads(line) for line in trace_scenario("mlf_h_faults")]
+@pytest.mark.parametrize("name", ["mlf_h_faults", "philly"])
+def test_fault_scenario_actually_faults(name, update_golden):
+    """Guard: the fault golden traces are not silently fault-free."""
+    records = [json.loads(line) for line in trace_scenario(name)]
     assert sum(r["faults"] for r in records) > 0
     assert sum(r["tasks_killed"] for r in records) > 0
 

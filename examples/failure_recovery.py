@@ -63,8 +63,14 @@ def planned_faults() -> None:
 def runtime_faults() -> None:
     """Act 2: crash a server under a live daemon via ``faultctl``."""
     print("=== Act 2: live server crash via the daemon (faultctl) ===")
+    # The daemon's socket and telemetry live in a directory removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro-faults-demo-") as workdir:
+        crash_under_daemon(Path(workdir))
+
+
+def crash_under_daemon(workdir: Path) -> None:
+    """Submit jobs, crash and revive server 0, drain; print the effects."""
     rng = random.Random(42)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-faults-demo-"))
     config = ServiceConfig(
         socket_path=str(workdir / "repro.sock"),
         telemetry_path=str(workdir / "telemetry.jsonl"),
@@ -118,7 +124,6 @@ def runtime_faults() -> None:
                 print(f"  {job_ids[0]} fault timeline:")
                 for event in fault_lines:
                     print(f"    {event['time']:>8.1f}s  {event['event']}")
-    print(f"  artifacts under {workdir}")
 
 
 if __name__ == "__main__":

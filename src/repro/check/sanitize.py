@@ -45,10 +45,15 @@ Checked invariants
     tasks and holds no load, and a failed GPU hosts no tasks — killed
     work must have been fully released back to the queue, and no
     scheduler path may have re-placed onto lost hardware.
+``cluster-arrays``
+    The cluster's array view (capacity and load rows, failed mask) holds
+    exactly each server's values, and its memoised overload aggregates
+    equal a fresh per-server recomputation, compared with ``==``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -65,6 +70,7 @@ __all__ = [
     "InvariantViolation",
     "Sanitizer",
     "SanitizingCluster",
+    "check_cluster_arrays",
     "check_cluster_conservation",
     "check_dead_servers",
     "check_dequeue_order",
@@ -242,6 +248,29 @@ class SanitizingCluster(Cluster):
     ) -> None:
         """Raise :class:`InvariantViolation` on any ledger inconsistency."""
         check_cluster_conservation(self, tolerance=tolerance, round_index=round_index)
+
+
+def check_cluster_arrays(
+    cluster: Cluster, threshold: float = 0.9, round_index: Optional[int] = None
+) -> None:
+    """Assert the array view and its aggregates match the servers exactly."""
+    rows = zip(cluster._capacity.tolist(), cluster._loads.tolist(), cluster._failed.tolist())
+    for server, row in zip(cluster.servers, rows):
+        if row != (list(server.capacity), list(server.load), server.failed):
+            raise InvariantViolation(
+                "cluster-arrays", "array row disagrees with its server",
+                server_id=server.server_id, round_index=round_index,
+            )
+    utils = [server.utilization() for server in cluster.servers]
+    over = [s for s, u in zip(cluster.servers, utils) if s.failed or u.exceeds_any(threshold)]
+    # ``g*g + c*c + ...`` rather than ``norm()``: ``sum`` may compensate.
+    norms = [math.sqrt(g * g + c * c + m * m + b * b) for g, c, m, b in utils]
+    degree = sum(norms) / len(norms) if norms else 0.0
+    if (cluster.overloaded_servers(threshold), cluster.overload_degree()) != (over, degree):
+        raise InvariantViolation(
+            "cluster-arrays", "memoised overload aggregates disagree with a per-server scan",
+            round_index=round_index, detail={"degree": degree},
+        )
 
 
 # ----------------------------------------------------------------------
@@ -608,6 +637,9 @@ class Sanitizer:
             check_queue_consistency(engine, round_index=round_index)
             check_dead_servers(
                 engine.cluster, tolerance=self.tolerance, round_index=round_index
+            )
+            check_cluster_arrays(
+                engine.cluster, engine.config.overload_threshold, round_index=round_index
             )
             if decision is not None:
                 check_dequeue_order(decision, round_index=round_index)

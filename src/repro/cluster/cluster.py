@@ -8,7 +8,9 @@ cluster utilization ``U_c`` and the overload degree
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.cluster.resources import ResourceKind, ResourceVector
 from repro.cluster.server import DEFAULT_SERVER_CAPACITY, Server
@@ -19,9 +21,63 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class Cluster:
-    """A collection of :class:`~repro.cluster.server.Server` objects."""
+    """A collection of :class:`~repro.cluster.server.Server` objects.
+
+    Arrays mirror the servers' live state, one row per server: capacity,
+    load and failed flag.  Every load change and server or GPU ``failed``
+    write reaches :meth:`sync`, which bumps :attr:`version`; aggregates
+    are memoised on it.  A server belongs to one cluster, and the server
+    list is fixed after construction.
+    """
 
     servers: list[Server] = field(default_factory=list)
+    version: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._attach()
+
+    def _attach(self) -> None:
+        """Claim the servers and (re)build the arrays from them."""
+        for row, server in enumerate(self.servers):
+            server._cluster, server._row = self, row
+        n, servers = len(self.servers), self.servers
+        # Column-major, so the aggregates below work on contiguous columns.
+        capacity = np.array([s.capacity.as_tuple() for s in servers], float, order="F")
+        loads = np.array([s.load.as_tuple() for s in servers], float, order="F")
+        self._capacity, self._loads = capacity.reshape(n, 4), loads.reshape(n, 4)
+        # A zero capacity divides by inf: 0 for any finite load.
+        self._divisor = np.where(self._capacity != 0, self._capacity, np.inf)
+        self._failed = np.array([s.failed for s in self.servers], dtype=bool)
+        self._stamps = np.full(n, self.version)
+        self._memo: dict[Any, Any] = {"version": -1}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The private attributes are the arrays and memo: derived state.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._attach()
+
+    def sync(self, server: Server) -> None:
+        """Copy one server's load and failed flag into its row."""
+        row = server._row
+        self._loads[row] = server.load.as_tuple()
+        self._failed[row] = server.failed
+        self.version += 1
+        self._stamps[row] = self.version
+
+    def changed_since(self, version: int) -> list[int]:
+        """Rows, ascending, changed after ``version``."""
+        return np.flatnonzero(self._stamps > version).tolist()
+
+    def _cache(self) -> dict[Any, Any]:
+        """Clamped load over capacity per row (``"util"``) and values
+        derived from it, rebuilt whenever a row changes."""
+        if self._memo["version"] != self.version:
+            util = self._loads / self._divisor
+            self._memo = {"version": self.version, "util": np.maximum(util, 0.0, out=util)}
+        return self._memo
 
     @classmethod
     def build(
@@ -85,31 +141,47 @@ class Cluster:
 
     def healthy_servers(self) -> list[Server]:
         """Servers not currently marked failed by fault injection."""
-        return [s for s in self.servers if not s.failed]
+        return [self.servers[i] for i in np.flatnonzero(~self._failed).tolist()]
 
     def failed_servers(self) -> list[Server]:
         """Servers currently marked failed by fault injection."""
-        return [s for s in self.servers if s.failed]
+        return [self.servers[i] for i in np.flatnonzero(self._failed).tolist()]
 
     # -- overload predicates (Sections 3.3.2 / 3.5) ------------------------
+    # Elementwise over the rows and bit-identical to a per-server scalar
+    # scan for finite loads: the same ``/``, clamps and summation order.
+
+    def _overloaded_rows(self, threshold: float) -> list[int]:
+        """Rows failed or with any utilization above ``threshold``."""
+        cache = self._cache()
+        if threshold not in cache:
+            mask = (cache["util"].max(axis=1) > threshold) | self._failed
+            cache[threshold] = np.flatnonzero(mask).tolist()
+        return cache[threshold]
 
     def overloaded_servers(self, threshold: float) -> list[Server]:
-        """Servers with any resource utilization above ``h_r``."""
-        return [s for s in self.servers if s.is_overloaded(threshold)]
+        """Servers with any resource utilization above ``h_r`` (or failed)."""
+        return [self.servers[i] for i in self._overloaded_rows(threshold)]
 
     def underloaded_servers(self, threshold: float) -> list[Server]:
         """Servers with every resource utilization at or below ``h_r``."""
-        return [s for s in self.servers if not s.is_overloaded(threshold)]
+        over = set(self._overloaded_rows(threshold))
+        return [s for i, s in enumerate(self.servers) if i not in over]
 
     def cluster_utilization(self) -> list[ResourceVector]:
         """The paper's ``U_c``: the list of per-server utilization vectors."""
         return [s.utilization() for s in self.servers]
 
     def overload_degree(self) -> float:
-        """``O_c`` — mean of per-server overload degrees (Section 3.5)."""
-        if not self.servers:
-            return 0.0
-        return sum(s.overload_degree() for s in self.servers) / len(self.servers)
+        """``O_c`` — mean of per-server overload degrees ``||U_s||`` (Section 3.5)."""
+        cache = self._cache()
+        if "degree" not in cache:
+            squares = cache["util"] * cache["util"]
+            norms = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2] + squares[:, 3])
+            # Python's left-to-right sum (as a per-server scan adds), not
+            # numpy's pairwise one.
+            cache["degree"] = sum(norms.tolist()) / len(self.servers) if self.servers else 0.0
+        return cache["degree"]
 
     def is_overloaded(self, threshold: float, queue_nonempty: bool = False) -> bool:
         """MLF-C's system-overload predicate.

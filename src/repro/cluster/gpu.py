@@ -10,9 +10,10 @@ utilization is the sum of those demands over its capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.cluster.server import Server
     from repro.workload.job import Task
 
 
@@ -31,11 +32,23 @@ class GPU:
 
     gpu_id: int
     capacity: float = 1.0
-    #: Fault-injection flag (repro.faults): a failed device keeps its
-    #: accounting but refuses new work until revived.
-    failed: bool = False
+    _failed: bool = field(default=False, init=False, repr=False)
     _tasks: dict[str, "Task"] = field(default_factory=dict, repr=False)
     _load: float = field(default=0.0, repr=False)
+    #: The server holding this device (set by it), told of flag flips.
+    _server: Optional["Server"] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        """Fault-injection flag (repro.faults): a failed device keeps its
+        accounting but refuses new work until revived."""
+        return self._failed
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        self._failed = value
+        if self._server is not None:
+            self._server.sync()
 
     @property
     def load(self) -> float:
@@ -55,22 +68,6 @@ class GPU:
     def tasks(self) -> list["Task"]:
         """Snapshot list of the tasks assigned to this device."""
         return list(self._tasks.values())
-
-    def is_overloaded(self, threshold: float) -> bool:
-        """Whether utilization exceeds the overload threshold ``h_r``.
-
-        A failed device reports overloaded so every capacity check
-        steers placements away from it.
-        """
-        return self.failed or self.utilization > threshold
-
-    def would_overload(self, extra_gpu_demand: float, threshold: float) -> bool:
-        """Whether adding ``extra_gpu_demand`` would push past ``threshold``."""
-        if self.failed:
-            return True
-        if not self.capacity:
-            return extra_gpu_demand > 0
-        return (self._load + extra_gpu_demand) / self.capacity > threshold
 
     def add_task(self, task: "Task") -> None:
         """Account a task's GPU demand onto this device."""

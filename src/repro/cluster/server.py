@@ -9,14 +9,14 @@ overload predicates of Section 3.3 — per-resource utilization against
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.gpu import GPU
-from repro.cluster.resources import ResourceKind, ResourceVector
+from repro.cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.cluster import Cluster
     from repro.workload.job import Task
 
 #: Capacity of one AWS p3.8xlarge-like server (4 GPUs, 32 vCPU, 244 GB,
@@ -42,9 +42,7 @@ class Server:
     server_id: int
     capacity: ResourceVector = DEFAULT_SERVER_CAPACITY
     num_gpus: int = 4
-    #: Fault-injection flag (repro.faults): a crashed server reports
-    #: overloaded on every predicate and rejects placements until revived.
-    failed: bool = False
+    _failed: bool = field(default=False, init=False, repr=False)
     gpus: list[GPU] = field(default_factory=list)
     #: Monotonic count of load mutations (task placed or removed) on
     #: this server, including per-GPU load changes — they only happen
@@ -54,11 +52,32 @@ class Server:
     load_version: int = field(default=0, repr=False)
     _tasks: dict[str, "Task"] = field(default_factory=dict, repr=False)
     _load: ResourceVector = field(default_factory=ResourceVector.zeros, repr=False)
+    #: The cluster whose arrays mirror this server (set by the cluster).
+    _cluster: Optional["Cluster"] = field(default=None, init=False, repr=False, compare=False)
+    _row: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.gpus:
             per_gpu = self.capacity.gpu / self.num_gpus if self.num_gpus else 0.0
             self.gpus = [GPU(gpu_id=i, capacity=per_gpu) for i in range(self.num_gpus)]
+        for gpu in self.gpus:
+            gpu._server = self
+
+    @property
+    def failed(self) -> bool:
+        """Fault-injection flag (repro.faults): a crashed server reports
+        overloaded on every predicate and rejects placements until revived."""
+        return self._failed
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        self._failed = value
+        self.sync()
+
+    def sync(self) -> None:
+        """Mirror this server's load and flags into its cluster's arrays."""
+        if self._cluster is not None:
+            self._cluster.sync(self)
 
     # -- load accounting ---------------------------------------------------
 
@@ -71,62 +90,6 @@ class Server:
         """The paper's ``U_s`` vector: per-resource load over capacity."""
         return self._load.divide_by(self.capacity).clamp_nonnegative()
 
-    def overload_degree(self) -> float:
-        """``O_s = ||U_s||`` — Euclidean norm of the utilization vector.
-
-        Scalar-wise: the cluster-wide degree sums this over every server
-        once per pass, so it avoids the intermediate vectors of
-        ``utilization().norm()`` (numerically identical).
-        """
-        load = self._load
-        cap = self.capacity
-        ug = load.gpu / cap.gpu if cap.gpu else 0.0
-        uc = load.cpu / cap.cpu if cap.cpu else 0.0
-        um = load.mem / cap.mem if cap.mem else 0.0
-        ub = load.bw / cap.bw if cap.bw else 0.0
-        if ug < 0.0:
-            ug = 0.0
-        if uc < 0.0:
-            uc = 0.0
-        if um < 0.0:
-            um = 0.0
-        if ub < 0.0:
-            ub = 0.0
-        return math.sqrt(ug * ug + uc * uc + um * um + ub * ub)
-
-    def is_overloaded(self, threshold: float) -> bool:
-        """True when any resource utilization exceeds ``h_r`` (Section 3.3.2).
-
-        A failed server is unconditionally overloaded, which keeps every
-        capacity-checking placement path away from lost hardware.
-        Scalar-wise (the overload scan visits every server every pass):
-        matches ``utilization().exceeds_any(threshold)`` exactly,
-        including the clamp of negative accounting noise to zero.
-        """
-        if self.failed:
-            return True
-        load = self._load
-        cap = self.capacity
-        ug = load.gpu / cap.gpu if cap.gpu else 0.0
-        uc = load.cpu / cap.cpu if cap.cpu else 0.0
-        um = load.mem / cap.mem if cap.mem else 0.0
-        ub = load.bw / cap.bw if cap.bw else 0.0
-        return (
-            (ug if ug > 0.0 else 0.0) > threshold
-            or (uc if uc > 0.0 else 0.0) > threshold
-            or (um if um > 0.0 else 0.0) > threshold
-            or (ub if ub > 0.0 else 0.0) > threshold
-        )
-
-    def overloaded_kinds(self, threshold: float) -> list[ResourceKind]:
-        """The resource kinds whose utilization exceeds ``threshold``."""
-        util = self.utilization()
-        return [kind for kind in ResourceKind if util[kind] > threshold]
-
-    def overloaded_gpus(self, threshold: float) -> list[GPU]:
-        """The GPU devices whose utilization exceeds ``threshold``."""
-        return [g for g in self.gpus if g.is_overloaded(threshold)]
-
     def healthy_gpus(self) -> list[GPU]:
         """The GPU devices not currently marked failed."""
         return [g for g in self.gpus if not g.failed]
@@ -136,31 +99,13 @@ class Server:
 
         Healthy devices are preferred; with every device failed the
         least-loaded failed one is returned so accounting paths (task
-        removal, digests) keep working — placement predicates reject it
-        via :meth:`GPU.would_overload`.
+        removal, digests) keep working — placement predicates reject a
+        failed device.
         """
         if not self.gpus:
             raise RuntimeError(f"server {self.server_id} has no GPUs")
         pool = self.healthy_gpus() or self.gpus
         return min(pool, key=lambda g: (g.utilization, g.gpu_id))
-
-    def would_overload(
-        self, demand: ResourceVector, threshold: float, gpu: Optional[GPU] = None
-    ) -> bool:
-        """Whether hosting ``demand`` would overload the server or the GPU.
-
-        The paper requires that the selected host "will not be overloaded
-        (on each resource and its least-loaded GPU) by hosting the task"
-        (Section 3.3.2).  A failed server (or target GPU) always
-        overloads.
-        """
-        if self.failed:
-            return True
-        candidate = (self._load + demand).divide_by(self.capacity)
-        if candidate.exceeds_any(threshold):
-            return True
-        target = gpu if gpu is not None else self.least_loaded_gpu()
-        return target.would_overload(demand.gpu, threshold)
 
     # -- task placement ------------------------------------------------------
 
@@ -193,6 +138,7 @@ class Server:
         self._tasks[task.task_id] = task
         self._load = self._load + task.true_demand
         self.load_version += 1
+        self.sync()
         return target
 
     def remove_task(self, task: "Task") -> None:
@@ -205,3 +151,4 @@ class Server:
         del self._tasks[task.task_id]
         self._load = (self._load - task.true_demand).clamp_nonnegative()
         self.load_version += 1
+        self.sync()

@@ -61,7 +61,8 @@ from repro.service.telemetry import (
 )
 from repro.sim.engine import EngineConfig, PassResult, SimulationEngine
 from repro.sim.interface import Scheduler
-from repro.workload.generator import WorkloadConfig, build_job
+from repro.workload.dag import MIN_WORKER_GPU
+from repro.workload.generator import WorkloadConfig, build_job, min_workers
 from repro.workload.job import Job
 from repro.workload.trace import TraceRecord
 
@@ -245,14 +246,16 @@ class SchedulerService:
         if job_id in self._registry:
             raise ProtocolError(f"duplicate job_id {job_id!r}")
         self._submissions += 1
-        job = self._build_job(job_id, spec)
-        reason = infeasible_reason(
-            job.tasks, self.engine.capacity, self.engine.config.overload_threshold
-        )
+        reason = self._oversize_reason(spec)
+        if reason is None:
+            job = self._build_job(job_id, spec)
+            reason = infeasible_reason(
+                job.tasks, self.engine.capacity, self.engine.config.overload_threshold
+            )
         if reason is not None:
             self._registry[job_id] = {"spec": spec, "job": None, "state": "rejected"}
             self._submissions_total.labels("rejected").inc()
-            self.engine.reject_job(job, reason)
+            self.engine.reject_job(job_id, reason)
             return {"job_id": job_id, "status": "rejected", "reason": reason}
         decision = self.admission.check(self.engine.cluster)
         entry = {"spec": spec, "job": job, "state": decision.value}
@@ -551,6 +554,19 @@ class SchedulerService:
             self.observer.tracer.write(Path(self.config.trace_path))
 
     # -- internals ---------------------------------------------------------
+
+    def _oversize_reason(self, spec: JobSpec) -> Optional[str]:
+        """The GPU rejection of a job too large to build, or ``None``.
+
+        A job has at least :func:`min_workers` workers demanding at least
+        :data:`MIN_WORKER_GPU` each, so past the fleet's GPU limit
+        :func:`infeasible_reason` would reject the built job on GPU.
+        """
+        least = MIN_WORKER_GPU * min_workers(spec.model_name, spec.gpus_requested)
+        limit = self.engine.config.overload_threshold * self.engine.capacity[0].gpu
+        if least > limit + 1e-9:
+            return f"infeasible: gpu {round(least, 3)} > {round(limit, 3)}"
+        return None
 
     def _build_job(self, job_id: str, spec: JobSpec) -> Job:
         """Job construction mirrors the batch path (trace record → job).

@@ -519,11 +519,11 @@ class SimulationEngine:
         self._ensure_tick(arrival)
         return arrival
 
-    def reject_job(self, job: Job, reason: str) -> None:
+    def reject_job(self, job_id: str, reason: str) -> None:
         """Count a never-placeable job as rejected; it is never activated."""
-        self.metrics.rejected[job.job_id] = reason
+        self.metrics.rejected[job_id] = reason
         self.obs.job_event(
-            job.job_id,
+            job_id,
             "rejected",
             self.now,
             round_index=self._round_index,
@@ -569,7 +569,7 @@ class SimulationEngine:
             job.tasks, self.capacity, self.config.overload_threshold
         )
         if reason is not None:
-            self.reject_job(job, reason)  # nothing changed: stay parked
+            self.reject_job(job.job_id, reason)  # nothing changed: stay parked
             return
         self._unpark()
         self._round_counters["arrivals"] += 1

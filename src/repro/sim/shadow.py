@@ -129,12 +129,6 @@ class ShadowCluster:
         """Shadow-aware server overload predicate (failed ⇒ overloaded)."""
         return server.failed or self.utilization(server).exceeds_any(threshold)
 
-    def underloaded_servers(self, threshold: float) -> list[Server]:
-        """Servers not overloaded under shadow accounting."""
-        return [
-            s for s in self.cluster.servers if not self.is_overloaded(s, threshold)
-        ]
-
     def would_overload(
         self,
         server: Server,

@@ -126,6 +126,10 @@ def _make_parameter_server(job: Job) -> Task:
     )
 
 
+#: The least GPU demand of any worker, whatever its partition.
+MIN_WORKER_GPU = 0.15
+
+
 def _worker_demand(job: Job, part: ModelPartition) -> ResourceVector:
     """Static resource demand of a worker.
 
@@ -143,7 +147,7 @@ def _worker_demand(job: Job, part: ModelPartition) -> ResourceVector:
     # scheduler.  The intensity term also keeps a 32-replica SVM job's
     # total demand placeable on modest clusters.
     intensity = min(1.0, job.model.base_iteration_seconds / 90.0)
-    gpu = min(0.85, max(0.15, part.compute_fraction * intensity * 1.2))
+    gpu = min(0.85, max(MIN_WORKER_GPU, part.compute_fraction * intensity * 1.2))
     cpu = 1.0 + 3.0 * part.compute_fraction
     mem = 2.0 + part.params_m * 4.0 / 1024.0 * 3.0 + job.model.batch_size_mb / 1024.0
     bw = 25.0 + 50.0 * part.compute_fraction

@@ -91,6 +91,14 @@ def split_parallelism(model_name: str, gpus_requested: int) -> tuple[int, int]:
     return 1, gpus
 
 
+def min_workers(model_name: str, gpus_requested: int) -> int:
+    """The fewest worker tasks such a job builds: sequential partitioning
+    may merge partitions down to one, layered slicing never does."""
+    replicas, partitions = split_parallelism(model_name, gpus_requested)
+    layered = get_model(model_name).partition_style is PartitionStyle.LAYERED
+    return replicas * (partitions if layered else 1)
+
+
 def build_job(
     record: TraceRecord,
     rng: random.Random,

@@ -117,13 +117,13 @@ class TestShadowCluster:
         shadow._add(0, 0, ResourceVector(gpu=0.5, cpu=0, mem=0, bw=0))
         assert shadow.least_loaded_gpu(server) != 0
 
-    def test_underloaded_servers_shadow_aware(self, small_cluster):
+    def test_is_overloaded_shadow_aware(self, small_cluster):
         shadow = ShadowCluster(small_cluster)
         for gpu_id in range(4):
             shadow._add(3, gpu_id, ResourceVector(gpu=0.95, cpu=0, mem=0, bw=0))
-        under = shadow.underloaded_servers(0.9)
-        assert all(s.server_id != 3 for s in under)
-        assert len(under) == 3
+        overloaded = [s.server_id for s in small_cluster if shadow.is_overloaded(s, 0.9)]
+        assert overloaded == [3]
+        assert small_cluster.overloaded_servers(0.9) == []  # live view untouched
 
     def test_snapshot_restore_roundtrip(self, small_cluster):
         shadow = ShadowCluster(small_cluster)

@@ -118,7 +118,7 @@ class TestMigrationSelector:
         cluster, jobs = self.overload_one_server()
         server = cluster.server(0)
         config = MLFSConfig()
-        if not server.is_overloaded(config.overload_threshold):
+        if server not in cluster.overloaded_servers(config.overload_threshold):
             pytest.skip("workload draw did not overload the server")
         selector = MigrationSelector(config=config)
         shadow = ShadowCluster(cluster)
@@ -134,7 +134,7 @@ class TestMigrationSelector:
         cluster, jobs = self.overload_one_server()
         server = cluster.server(0)
         config = MLFSConfig()
-        if not server.is_overloaded(config.overload_threshold):
+        if server not in cluster.overloaded_servers(config.overload_threshold):
             pytest.skip("workload draw did not overload the server")
         selector = MigrationSelector(config=config)
         shadow = ShadowCluster(cluster)
@@ -147,7 +147,8 @@ class TestMigrationSelector:
         cluster, jobs = self.overload_one_server()
         server = cluster.server(0)
         config = MLFSConfig(migration_candidate_fraction=0.3)
-        if not server.overloaded_gpus(config.overload_threshold):
+        hot_gpus = [g for g in server.gpus if g.utilization > config.overload_threshold]
+        if not hot_gpus:
             pytest.skip("no overloaded GPU in this draw")
         selector = MigrationSelector(config=config)
         shadow = ShadowCluster(cluster)
@@ -157,11 +158,7 @@ class TestMigrationSelector:
         if selected:
             # Selected tasks come from the bottom of the priority order
             # among the hot GPUs' tasks.
-            hot = {
-                t.task_id
-                for g in server.overloaded_gpus(config.overload_threshold)
-                for t in g.tasks()
-            }
+            hot = {t.task_id for g in hot_gpus for t in g.tasks()}
             first = selected[0]
             if first.task_id in hot:
                 hot_priorities = sorted(

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.cluster import infeasible_reason
 from repro.core import make_mlf_h
 from repro.service import (
     AdmissionController,
@@ -281,6 +282,43 @@ class TestServiceCore:
         assert [e["event"] for e in core.history("huge")["events"]] == ["rejected"]
         assert core.drain()["idle"]
         assert core.metrics()["summary"]["jobs_rejected"] == 1.0
+
+    def test_oversize_submission_is_rejected_before_building(self, tmp_path, monkeypatch):
+        core = SchedulerService(service_config(tmp_path))
+        built = []
+        real = SchedulerService._build_job
+        monkeypatch.setattr(
+            SchedulerService,
+            "_build_job",
+            lambda self, job_id, spec: built.append(job_id) or real(self, job_id, spec),
+        )
+        out = core.submit(
+            JobSpec(job_id="vast", model_name="resnet", gpus_requested=65_536, max_iterations=3)
+        )
+        assert (out["job_id"], out["status"]) == ("vast", "rejected")
+        assert out["reason"] == "infeasible: gpu 9830.4 > 14.4"
+        assert built == []
+        assert core.status("vast")["state"] == "rejected"
+        assert [e["event"] for e in core.history("vast")["events"]] == ["rejected"]
+        assert core.metrics()["summary"]["jobs_rejected"] == 1.0
+        # Under the bound a job is built and checked as before.
+        core.submit(JobSpec(job_id="svm64", model_name="svm", gpus_requested=64, max_iterations=3))
+        assert built == ["svm64"]
+
+    @pytest.mark.parametrize("model", ["alexnet", "lstm", "mlp", "resnet", "svm"])
+    def test_oversize_bound_only_rejects_what_the_built_job_fails(self, tmp_path, model):
+        core = SchedulerService(service_config(tmp_path))
+        threshold = core.engine.config.overload_threshold
+        bounded = 0
+        for gpus in (*range(90, 110), 1000):
+            spec = JobSpec(job_id=f"{model}{gpus}", model_name=model, gpus_requested=gpus)
+            if core._oversize_reason(spec) is not None:
+                bounded += 1
+                job = core._build_job(spec.job_id, spec)
+                reason = infeasible_reason(job.tasks, core.engine.capacity, threshold)
+                assert reason is not None and reason.startswith("infeasible: gpu ")
+        # Sequentially partitioned models may merge down to one partition.
+        assert bounded > 0 or model in ("alexnet", "mlp")
 
     def test_admission_queues_under_overload_then_releases(self, tmp_path):
         core = SchedulerService(

@@ -22,9 +22,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import GandivaScheduler, SLAQScheduler, TiresiasScheduler
+from repro.baselines import (
+    GandivaScheduler,
+    RLScheduler,
+    SLAQScheduler,
+    TiresiasScheduler,
+)
 from repro.cluster import Cluster
-from repro.core import MLFSConfig, Phase, make_mlf_h, make_mlf_rl, make_mlfs
+from repro.core import (
+    MLFRLScheduler,
+    MLFSConfig,
+    Phase,
+    make_mlf_h,
+    make_mlf_rl,
+    make_mlfs,
+)
 from repro.core.state import FEATURE_SIZE
 from repro.faults import FaultEvent, FaultPlan
 from repro.learncurve import CurveEnsemble
@@ -83,6 +95,21 @@ def small_setup() -> tuple[list, Cluster, EngineConfig]:
     )
 
 
+def contended_setup() -> tuple[list, Cluster, EngineConfig]:
+    """30 jobs on 2 servers of 4 GPUs, fixed passes: a standing queue.
+
+    :func:`small_setup` rarely queues more than one job, so its traces
+    do not pin the order in which a scheduler considers tasks; here
+    every pass has to choose among many waiting jobs.
+    """
+    records = generate_trace(30, duration_seconds=3600.0, seed=29)
+    return (
+        build_jobs(records, seed=30),
+        Cluster.build(2, 4),
+        EngineConfig(seed=31, max_time=14 * 24 * 3600.0),
+    )
+
+
 def philly_setup() -> tuple[list, Cluster, EngineConfig]:
     """A window of the Philly trace on the 550-server fleet, event passes."""
     config = philly_scale_config(
@@ -125,6 +152,47 @@ SCENARIOS = {
     "tiresias": (TiresiasScheduler, None),
     "gandiva": (GandivaScheduler, None),
     "slaq": (SLAQScheduler, None),
+    # Under a standing queue: the MLF pass's ordering and all-or-nothing
+    # admission with each host choice (RIAL, a policy, a sampled policy,
+    # the JCT-only RL baseline with and without a policy), and MLFS's
+    # switch from MLF-H to MLF-RL.
+    "contended_mlf_h": (make_mlf_h, None, contended_setup),
+    "contended_mlf_rl": (
+        lambda: make_mlf_rl(policy=_mlf_rl_policy()),
+        None,
+        contended_setup,
+    ),
+    "contended_mlf_rl_fallback": (make_mlf_rl, None, contended_setup),
+    "contended_mlf_rl_explore": (
+        lambda: MLFRLScheduler(
+            config=MLFSConfig(enable_load_control=False),
+            policy=_mlf_rl_policy(),
+            explore=True,
+        ),
+        None,
+        contended_setup,
+    ),
+    "contended_rl": (
+        lambda: RLScheduler(policy=_mlf_rl_policy()),
+        None,
+        contended_setup,
+    ),
+    "contended_rl_fallback": (RLScheduler, None, contended_setup),
+    "contended_mlfs": (
+        lambda: make_mlfs(
+            config=MLFSConfig(enable_load_control=True, rl_switch_decisions=10)
+        ),
+        None,
+        contended_setup,
+    ),
+}
+
+#: Scenarios whose snapshot round-trip runs on every n-th pass only:
+#: pickling the 550-server engine takes ~0.1 s, and the contended
+#: scenarios run hundreds of passes each.
+SNAPSHOT_EVERY = {
+    "philly": 10,
+    **{name: 10 for name in SCENARIOS if name.startswith("contended_")},
 }
 
 
@@ -140,10 +208,8 @@ def run_scenario(name: str) -> tuple[list[str], SimulationEngine]:
     engine = SimulationEngine(
         factory(), jobs, cluster, config, sanitize=True, faults=plan
     )
-    if name == "philly":
-        # A 550-server engine takes ~0.1 s to pickle: round-trip it on
-        # every 10th pass rather than every pass.
-        engine.sanitizer.snapshot_every = 10
+    if name in SNAPSHOT_EVERY:
+        engine.sanitizer.snapshot_every = SNAPSHOT_EVERY[name]
     engine.start()
     stats = RunningJctStats()
     lines: list[str] = []
@@ -212,3 +278,23 @@ def test_mlfs_scenario_exercises_every_phase(monkeypatch):
     assert fits, "MLF-C never fitted a learning curve"
     assert sum(json.loads(line)["stops"] for line in lines) > 0
     assert engine.scheduler.phase is Phase.RL
+
+
+def test_contended_scenarios_pin_distinct_schedules():
+    """Guard: every contended scenario's host choice shows in its golden."""
+    traces = {
+        name: golden_path(name).read_text(encoding="utf-8")
+        for name in SCENARIOS
+        if name.startswith("contended_")
+    }
+    assert len(set(traces.values())) == len(traces)
+
+
+def test_contended_scenarios_exercise_rl():
+    """Guard: MLFS switches to MLF-RL under contention, and exploring
+    MLF-RL records a trajectory step per policy choice."""
+    lines, engine = run_scenario("contended_mlfs")
+    assert engine.scheduler.phase is Phase.RL
+    assert sum(json.loads(line)["stops"] for line in lines) > 0
+    _lines, engine = run_scenario("contended_mlf_rl_explore")
+    assert len(engine.scheduler.trajectory) > 0

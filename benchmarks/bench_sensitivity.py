@@ -4,13 +4,17 @@ work — DESIGN.md §6 extension).
 Sweeps the MLF-H weight ``α`` (ML vs computation features, Eq. 6), the
 dependency discount ``γ`` (Eq. 3/5) and the migration-candidate
 fraction ``p_s`` (Section 3.3.3), reporting average JCT and accuracy at
-one contended workload point.
+one contended workload point.  The four sweeps take 50-70 s on
+2 vCPUs, so they carry the ``slow`` marker and run in CI's slow job.
 """
 
+import pytest
 from harness import ABLATION
 
 from repro import api
 from repro.analysis import format_table
+
+pytestmark = pytest.mark.slow
 
 _JOBS = 80
 

@@ -1,6 +1,6 @@
 """Comparison schedulers from the paper's evaluation (Section 4.1)."""
 
-from repro.baselines.base import GangScheduler, pack_tasks, running_jobs, waiting_jobs
+from repro.baselines.base import GangScheduler, pack_tasks, waiting_jobs
 from repro.baselines.fair import FairScheduler
 from repro.baselines.fifo import FIFOScheduler
 from repro.baselines.gandiva import GandivaScheduler
@@ -21,6 +21,5 @@ __all__ = [
     "SLAQScheduler",
     "TiresiasScheduler",
     "pack_tasks",
-    "running_jobs",
     "waiting_jobs",
 ]

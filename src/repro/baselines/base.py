@@ -11,7 +11,7 @@ logic, mirroring how the paper describes them.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.server import Server
@@ -32,17 +32,12 @@ def waiting_jobs(ctx: SchedulingContext) -> list[Job]:
     return [j for j in ctx.active_jobs if j.job_id in queued_job_ids]
 
 
-def running_jobs(ctx: SchedulingContext) -> list[Job]:
-    """Active jobs that are fully placed (gang-running)."""
-    return [j for j in ctx.active_jobs if j.is_fully_placed]
-
-
 def pack_tasks(
     tasks: list[Task],
     shadow: ShadowCluster,
     threshold: float,
     preferred_servers: Optional[list[int]] = None,
-) -> Optional[list[tuple[Task, int, int]]]:
+) -> Optional[list[Placement]]:
     """All-or-nothing placement of a task group.
 
     Tries to host every task without overloading any server or GPU,
@@ -50,32 +45,27 @@ def pack_tasks(
     servers.  On failure the shadow state is rolled back and ``None``
     returned.
     """
-    snapshot = shadow.snapshot()
-    preferred = preferred_servers or []
-    rank = {sid: i for i, sid in enumerate(preferred)}
-    assignments: list[tuple[Task, int, int]] = []
-    for task in tasks:
+    rank = {sid: i for i, sid in enumerate(preferred_servers or [])}
+
+    def sort_key(server: Server) -> tuple[int, float, int]:
+        return (
+            rank.get(server.server_id, len(rank)),
+            shadow.overload_degree(server),
+            server.server_id,
+        )
+
+    def choose(task: Task) -> Optional[tuple[int, int]]:
         candidates = [
             s
             for s in shadow.cluster.servers
             if not shadow.would_overload(s, task.demand, threshold)
         ]
         if not candidates:
-            shadow.restore(snapshot)
             return None
-
-        def sort_key(server: Server) -> tuple[int, float, int]:
-            return (
-                rank.get(server.server_id, len(rank)),
-                shadow.overload_degree(server),
-                server.server_id,
-            )
-
         server = min(candidates, key=sort_key)
-        gpu_id = shadow.least_loaded_gpu(server)
-        shadow.commit_placement(task, server.server_id, gpu_id)
-        assignments.append((task, server.server_id, gpu_id))
-    return assignments
+        return server.server_id, shadow.least_loaded_gpu(server)
+
+    return shadow.place_all(tasks, choose)
 
 
 @dataclass
@@ -141,17 +131,16 @@ class GangScheduler(Scheduler):
             queued = [t for t in job.tasks if t.state is TaskState.QUEUED]
             if not queued:
                 continue
-            assignments = pack_tasks(
+            placements = pack_tasks(
                 queued,
                 shadow,
                 ctx.overload_threshold,
                 self.preferred_servers(job, ctx),
             )
-            if assignments is None:
+            if placements is None:
                 continue  # backfill: try the next job
             self.note_admitted(job, ctx)
-            for task, server_id, gpu_id in assignments:
-                decision.placements.append(Placement(task, server_id, gpu_id))
+            decision.placements.extend(placements)
 
         self.extra_actions(ctx, shadow, decision)
         return decision

@@ -18,13 +18,8 @@ from typing import Optional
 from repro.core.placement import TaskCommIndex
 from repro.core.state import FEATURE_SIZE, StateFeaturizer
 from repro.rl.policy import ScoringPolicy
-from repro.sim.interface import (
-    Placement,
-    Scheduler,
-    SchedulerDecision,
-    SchedulingContext,
-)
-from repro.sim.shadow import ShadowCluster
+from repro.sim.interface import Scheduler, SchedulerDecision, SchedulingContext
+from repro.sim.shadow import ShadowCluster, job_groups
 from repro.workload.job import Job, Task
 
 
@@ -66,28 +61,15 @@ class RLScheduler(Scheduler):
             ctx.queue,
             key=lambda t: (t.job.arrival_time, t.job_id, t.task_id),
         )
+
+        def choose(task: Task) -> Optional[tuple[int, int]]:
+            return self._choose_host(task, shadow, ctx)
+
         # Per-job all-or-nothing admission: a partially placed job holds
         # GPUs without progressing, so failed groups roll back.
-        index = 0
-        while index < len(pool):
-            job_id = pool[index].job_id
-            group = []
-            while index < len(pool) and pool[index].job_id == job_id:
-                group.append(pool[index])
-                index += 1
-            snapshot = shadow.snapshot()
-            placements = []
-            for task in group:
-                choice = self._choose_host(task, shadow, ctx)
-                if choice is None:
-                    placements = None
-                    break
-                server_id, gpu_id = choice
-                shadow.commit_placement(task, server_id, gpu_id)
-                placements.append(Placement(task, server_id, gpu_id))
-            if placements is None:
-                shadow.restore(snapshot)
-            else:
+        for group in job_groups(pool):
+            placements = shadow.place_all(group, choose)
+            if placements is not None:
                 decision.placements.extend(placements)
         return decision
 

@@ -14,7 +14,7 @@ from repro.core.exact import (
     score_assignment,
 )
 from repro.core.mlf_c import MLFCController
-from repro.core.mlf_h import BufferRecorder, MLFHScheduler
+from repro.core.mlf_h import MLFHScheduler
 from repro.core.mlf_rl import MLFRLScheduler
 from repro.core.mlfs import MLFSScheduler, Phase, make_mlf_h, make_mlf_rl, make_mlfs
 from repro.core.overload import MigrationSelector
@@ -41,7 +41,6 @@ from repro.core.train import (
 )
 
 __all__ = [
-    "BufferRecorder",
     "DEFAULT_CONFIG",
     "FEATURE_SIZE",
     "HostChoice",

@@ -13,16 +13,18 @@ Each scheduling round:
    (``Migration``); candidates that don't are evicted to the real queue;
    queued tasks that don't fit simply wait.
 
-An optional :class:`DecisionRecorder` captures every host choice with
-its candidate feature matrix — the training data MLF-RL imitates.
+MLF-H and MLF-RL (:mod:`repro.core.mlf_rl`) run this one pass,
+:class:`MLFPass`, and differ only in its ordering score and host
+choice.  An optional :class:`~repro.rl.replay.ImitationBuffer` captures
+every MLF-H host choice with its candidate feature matrix — the
+training data MLF-RL imitates.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
-
-import numpy as np
+from typing import Optional
 
 from repro.core.config import MLFSConfig
 from repro.core.overload import MigrationSelector
@@ -35,12 +37,11 @@ from repro.rl.replay import Decision, ImitationBuffer
 from repro.sim.interface import (
     Eviction,
     Migration,
-    Placement,
     Scheduler,
     SchedulerDecision,
     SchedulingContext,
 )
-from repro.sim.shadow import ShadowCluster
+from repro.sim.shadow import ShadowCluster, job_groups
 from repro.workload.job import Job, Task
 
 
@@ -89,53 +90,24 @@ def completion_boosts(jobs: list[Job]) -> dict[str, float]:
     return boosts
 
 
-def _job_groups(ordered_pool: list[Task]) -> list[list[Task]]:
-    """Split an ordered pool into runs of same-job tasks (order kept)."""
-    groups: list[list[Task]] = []
-    for task in ordered_pool:
-        if groups and groups[-1][0].job_id == task.job_id:
-            groups[-1].append(task)
-        else:
-            groups.append([task])
-    return groups
-
-
-class DecisionRecorder(Protocol):
-    """Sink for recorded (features, chosen index) placement decisions."""
-
-    def record(self, features: np.ndarray, chosen_index: int) -> None:
-        """Store one decision."""
-        ...
-
-
 @dataclass
-class BufferRecorder:
-    """Adapts :class:`~repro.rl.replay.ImitationBuffer` to the recorder
-    protocol — the standard way to capture MLF-H decisions for MLF-RL
-    imitation training."""
+class MLFPass(Scheduler):
+    """The MLF scheduling pass shared by MLF-H and MLF-RL.
 
-    buffer: "ImitationBuffer"
-
-    def record(self, features: np.ndarray, chosen_index: int) -> None:
-        """Append one expert decision to the buffer."""
-        self.buffer.add(Decision(features=features, chosen_index=chosen_index))
-
-
-@dataclass
-class MLFHScheduler(Scheduler):
-    """The heuristic scheduler of Section 3.3."""
+    One pass scores every task of every active job, moves (or evicts)
+    the migration candidates of overloaded servers, then admits queued
+    jobs all-or-nothing in score order.  Subclasses supply two hooks:
+    :meth:`_order_score` (the priority by default) and
+    :meth:`_choose_host`, the destination of one task.
+    """
 
     config: MLFSConfig = field(default_factory=MLFSConfig)
-    recorder: Optional[DecisionRecorder] = None
-    name: str = "MLF-H"
 
     calculator: PriorityCalculator = field(init=False)
     placement: PlacementEngine = field(init=False)
     migration: MigrationSelector = field(init=False)
     featurizer: StateFeaturizer = field(init=False)
     comm_index: TaskCommIndex = field(init=False)
-    #: Number of placement decisions made so far (drives the RL switch).
-    decisions_made: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.config.validate()
@@ -156,7 +128,12 @@ class MLFHScheduler(Scheduler):
         boost = completion_boosts(ctx.active_jobs)
 
         def score(task: Task) -> float:
-            return priorities.get(task.task_id, 0.0) * boost.get(task.job_id, 1.0)
+            return self._order_score(task, priorities, ctx) * boost.get(
+                task.job_id, 1.0
+            )
+
+        def choose(task: Task) -> Optional[tuple[int, int]]:
+            return self._choose_host(task, shadow, ctx)
 
         # Migration candidates move (or are evicted) individually.
         with _span("migration"):
@@ -172,7 +149,7 @@ class MLFHScheduler(Scheduler):
                 migration_candidates,
                 {t.task_id: score(t) for t in migration_candidates},
             ):
-                choice = self._select_and_record(task, shadow, ctx)
+                choice = choose(task)
                 if choice is None:
                     decision.evictions.append(Eviction(task))
                     continue
@@ -181,7 +158,6 @@ class MLFHScheduler(Scheduler):
                 # destination side of the move.
                 shadow.commit_placement(task, server_id, gpu_id)
                 decision.migrations.append(Migration(task, server_id, gpu_id))
-                self.decisions_made += 1
 
         # Queued tasks are admitted per job, all-or-nothing: a job only
         # iterates once fully placed, so partially seeding it would hold
@@ -190,31 +166,41 @@ class MLFHScheduler(Scheduler):
             queue_scores = {t.task_id: score(t) for t in ctx.queue}
             ordered = order_pool(list(ctx.queue), queue_scores)
             decision.record_dequeue(ordered, queue_scores)
-            for group in _job_groups(ordered):
-                snapshot = shadow.snapshot()
-                placements = []
-                for task in group:
-                    choice = self._select_and_record(task, shadow, ctx)
-                    if choice is None:
-                        placements = None
-                        break
-                    server_id, gpu_id = choice
-                    shadow.commit_placement(task, server_id, gpu_id)
-                    placements.append(Placement(task, server_id, gpu_id))
-                if placements is None:
-                    shadow.restore(snapshot)
-                else:
+            for group in job_groups(ordered):
+                placements = shadow.place_all(group, choose)
+                if placements is not None:
                     decision.placements.extend(placements)
-                    self.decisions_made += len(placements)
         return decision
 
     def on_job_complete(self, job: Job, now: float) -> None:
         self.calculator.forget(job)
         self.comm_index.forget(job)
 
-    # -- internals -------------------------------------------------------------
+    # -- hooks -----------------------------------------------------------------
 
-    def _select_and_record(
+    def _order_score(
+        self, task: Task, priorities: dict[str, float], ctx: SchedulingContext
+    ) -> float:
+        """The task's ordering score before the completion boost."""
+        return priorities.get(task.task_id, 0.0)
+
+    @abc.abstractmethod
+    def _choose_host(
+        self, task: Task, shadow: ShadowCluster, ctx: SchedulingContext
+    ) -> Optional[tuple[int, int]]:
+        """``(server_id, gpu_id)`` to host ``task``, or ``None``."""
+
+
+@dataclass
+class MLFHScheduler(MLFPass):
+    """The heuristic scheduler of Section 3.3."""
+
+    recorder: Optional[ImitationBuffer] = None
+    name: str = "MLF-H"
+
+    # -- hooks -----------------------------------------------------------------
+
+    def _choose_host(
         self, task: Task, shadow: ShadowCluster, ctx: SchedulingContext
     ) -> Optional[tuple[int, int]]:
         """Pick a host via the RIAL rule, recording the decision if asked."""
@@ -231,5 +217,5 @@ class MLFHScheduler(Scheduler):
             chosen_index = next(
                 i for i, s in enumerate(candidates) if s.server_id == choice.server_id
             )
-            self.recorder.record(features, chosen_index)
+            self.recorder.add(Decision(features=features, chosen_index=chosen_index))
         return choice.server_id, choice.gpu_id

@@ -1,9 +1,9 @@
 """MLF-RL: ML-feature-based RL task scheduling (Section 3.4).
 
-The RL scheduler keeps MLF-H's skeleton — priority-ordered task pool,
-ideal-virtual-task migration selection — but delegates the *destination*
-decision to a learned policy: for each task the candidate servers are
-featurized (:mod:`repro.core.state`) and a softmax scoring network picks
+The RL scheduler runs MLF-H's pass (:class:`~repro.core.mlf_h.MLFPass`)
+— priority-ordered task pool, ideal-virtual-task migration selection,
+all-or-nothing admission — but delegates the *destination* decision
+to a learned policy: for each task the candidate servers are featurized (:mod:`repro.core.state`) and a softmax scoring network picks
 one.  The policy is bootstrapped by imitating MLF-H's recorded decisions
 and can be fine-tuned with REINFORCE on the Eq. 7 reward
 (:mod:`repro.core.train`).
@@ -21,30 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import MLFSConfig
-from repro.core.mlf_h import _job_groups, completion_boosts, order_pool
-from repro.core.overload import MigrationSelector
-from repro.core.placement import PlacementEngine, TaskCommIndex
-from repro.core.priority import PriorityCalculator
-from repro.core.state import FEATURE_SIZE, StateFeaturizer
-from repro.obs.observer import publish_priorities as _publish_priorities
+from repro.core.mlf_h import MLFPass
+from repro.core.state import FEATURE_SIZE
 from repro.obs.observer import span as _span
 from repro.rl.policy import ScoringPolicy
 from repro.rl.replay import Decision, Trajectory
-from repro.sim.interface import (
-    Eviction,
-    Migration,
-    Placement,
-    Scheduler,
-    SchedulerDecision,
-    SchedulingContext,
-)
+from repro.sim.interface import SchedulerDecision, SchedulingContext
 from repro.sim.shadow import ShadowCluster
 from repro.workload.job import Job, Task
 
 
 @dataclass
-class MLFRLScheduler(Scheduler):
+class MLFRLScheduler(MLFPass):
     """The RL scheduler of Section 3.4.
 
     Parameters
@@ -65,29 +53,18 @@ class MLFRLScheduler(Scheduler):
         The lookahead horizon (one scheduling epoch).
     """
 
-    config: MLFSConfig = field(default_factory=MLFSConfig)
     policy: Optional[ScoringPolicy] = None
     explore: bool = False
     completion_boost: float = 0.5
     epoch_seconds: float = 1800.0
     name: str = "MLF-RL"
 
-    calculator: PriorityCalculator = field(init=False)
-    placement: PlacementEngine = field(init=False)
-    migration: MigrationSelector = field(init=False)
-    featurizer: StateFeaturizer = field(init=False)
-    comm_index: TaskCommIndex = field(init=False)
     #: Exploration trajectory of the current episode (training mode).
     trajectory: Trajectory = field(default_factory=Trajectory, init=False)
     _finish_cache: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.config.validate()
-        self.comm_index = TaskCommIndex()
-        self.calculator = PriorityCalculator(config=self.config)
-        self.placement = PlacementEngine(config=self.config, comm_index=self.comm_index)
-        self.migration = MigrationSelector(config=self.config, comm_index=self.comm_index)
-        self.featurizer = StateFeaturizer(comm_index=self.comm_index)
+        super().__post_init__()
         if self.policy is not None and self.policy.feature_size != FEATURE_SIZE:
             raise ValueError(
                 f"policy feature size {self.policy.feature_size} != {FEATURE_SIZE}"
@@ -96,66 +73,8 @@ class MLFRLScheduler(Scheduler):
     # -- Scheduler API ------------------------------------------------------
 
     def on_schedule(self, ctx: SchedulingContext) -> SchedulerDecision:
-        decision = SchedulerDecision()
         self._finish_cache.clear()
-        with _span("priority", jobs=len(ctx.active_jobs)):
-            priorities = self.calculator.priorities(ctx.active_jobs, ctx.now)
-            _publish_priorities(priorities)
-        shadow = ShadowCluster(ctx.cluster)
-        boost = completion_boosts(ctx.active_jobs)
-
-        def score(task: Task) -> float:
-            return self._order_score(task, priorities, ctx) * boost.get(
-                task.job_id, 1.0
-            )
-
-        with _span("migration"):
-            migration_candidates: list[Task] = []
-            if self.config.enable_migration:
-                for server in ctx.cluster.overloaded_servers(
-                    self.config.overload_threshold
-                ):
-                    migration_candidates.extend(
-                        self.migration.select(server, shadow, priorities)
-                    )
-            for task in order_pool(
-                migration_candidates,
-                {t.task_id: score(t) for t in migration_candidates},
-            ):
-                choice = self._choose_host(task, shadow, ctx)
-                if choice is None:
-                    decision.evictions.append(Eviction(task))
-                    continue
-                server_id, gpu_id = choice
-                # The selector already committed the removal; record the
-                # destination side of the move.
-                shadow.commit_placement(task, server_id, gpu_id)
-                decision.migrations.append(Migration(task, server_id, gpu_id))
-
-        with _span("placement", queued=len(ctx.queue)):
-            queue_scores = {t.task_id: score(t) for t in ctx.queue}
-            ordered = order_pool(list(ctx.queue), queue_scores)
-            decision.record_dequeue(ordered, queue_scores)
-            for group in _job_groups(ordered):
-                snapshot = shadow.snapshot()
-                placements = []
-                for task in group:
-                    choice = self._choose_host(task, shadow, ctx)
-                    if choice is None:
-                        placements = None
-                        break
-                    server_id, gpu_id = choice
-                    shadow.commit_placement(task, server_id, gpu_id)
-                    placements.append(Placement(task, server_id, gpu_id))
-                if placements is None:
-                    shadow.restore(snapshot)
-                else:
-                    decision.placements.extend(placements)
-        return decision
-
-    def on_job_complete(self, job: Job, now: float) -> None:
-        self.calculator.forget(job)
-        self.comm_index.forget(job)
+        return super().on_schedule(ctx)
 
     def reset_trajectory(self) -> Trajectory:
         """Detach and return the recorded episode; start a fresh one."""
@@ -163,7 +82,7 @@ class MLFRLScheduler(Scheduler):
         self.trajectory = Trajectory()
         return finished
 
-    # -- internals -------------------------------------------------------------
+    # -- hooks -----------------------------------------------------------------
 
     def _order_score(
         self, task: Task, priorities: dict[str, float], ctx: SchedulingContext

@@ -16,6 +16,7 @@ benchmark path) pass it in and MLFS starts directly in the RL phase.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ from typing import Optional
 from repro.cluster.cluster import Cluster
 from repro.core.config import MLFSConfig
 from repro.core.mlf_c import MLFCController
-from repro.core.mlf_h import BufferRecorder, MLFHScheduler
+from repro.core.mlf_h import MLFHScheduler
 from repro.core.mlf_rl import MLFRLScheduler
 from repro.core.state import FEATURE_SIZE
 from repro.obs.observer import span as _span
@@ -77,7 +78,7 @@ class MLFSScheduler(Scheduler):
         self.config.validate()
         self.imitation_buffer = ImitationBuffer(capacity=20_000)
         self.heuristic = MLFHScheduler(
-            config=self.config, recorder=BufferRecorder(self.imitation_buffer)
+            config=self.config, recorder=self.imitation_buffer
         )
         self.rl = MLFRLScheduler(config=self.config, policy=self.pretrained_policy)
         self.load_control = MLFCController(config=self.config)
@@ -90,17 +91,12 @@ class MLFSScheduler(Scheduler):
             stops = self.load_control.apply(ctx)
         stopped_jobs = {stop.job.job_id for stop in stops}
         if stopped_jobs:
-            ctx = SchedulingContext(
-                now=ctx.now,
-                cluster=ctx.cluster,
+            ctx = dataclasses.replace(
+                ctx,
                 queue=[t for t in ctx.queue if t.job_id not in stopped_jobs],
                 active_jobs=[
                     j for j in ctx.active_jobs if j.job_id not in stopped_jobs
                 ],
-                overload_threshold=ctx.overload_threshold,
-                system_overload_threshold=ctx.system_overload_threshold,
-                accuracy_predictor=ctx.accuracy_predictor,
-                runtime_predictor=ctx.runtime_predictor,
             )
         self._maybe_switch()
         engine = self.heuristic if self.phase is Phase.HEURISTIC else self.rl

@@ -2,7 +2,7 @@
 
 Implements the paper's training recipe end-to-end:
 
-1. **Collect** — run MLF-H over a workload with a decision recorder
+1. **Collect** — run MLF-H over a workload with an imitation buffer
    attached ("MLFS initially runs MLF-H … and uses the data to train a
    deep RL model").
 2. **Imitate** — supervised pretraining of the scoring policy on the
@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import MLFSConfig
-from repro.core.mlf_h import BufferRecorder, MLFHScheduler
+from repro.core.mlf_h import MLFHScheduler
 from repro.core.mlf_rl import MLFRLScheduler
 from repro.core.state import FEATURE_SIZE
 from repro.rl.policy import ScoringPolicy
@@ -46,7 +46,7 @@ def collect_imitation_data(
 ) -> ImitationBuffer:
     """Run MLF-H over the setup's workload, recording every host choice."""
     buffer = ImitationBuffer(capacity=capacity)
-    scheduler = MLFHScheduler(config=setup.config, recorder=BufferRecorder(buffer))
+    scheduler = MLFHScheduler(config=setup.config, recorder=buffer)
     jobs = build_jobs(
         setup.records, seed=setup.workload_seed, config=setup.workload_config
     )

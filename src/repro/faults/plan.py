@@ -162,10 +162,6 @@ class FaultPlan:
         """The events scheduled for one round, in application order."""
         return tuple(e for e in self.events if e.round_index == round_index)
 
-    def last_round(self) -> int:
-        """Round of the latest scheduled event (``-1`` when empty)."""
-        return max((e.round_index for e in self.events), default=-1)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:

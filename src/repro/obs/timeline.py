@@ -87,10 +87,6 @@ class TimelineRecorder:
         """A job's timeline as JSON-safe dicts (empty when unknown)."""
         return [event.to_dict() for event in self._events.get(job_id, [])]
 
-    def events_of(self, job_id: str) -> list[TimelineEvent]:
-        """A job's raw timeline events."""
-        return list(self._events.get(job_id, []))
-
     def job_ids(self) -> list[str]:
         """Tracked jobs, oldest first."""
         return list(self._events)

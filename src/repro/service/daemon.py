@@ -759,7 +759,7 @@ class SchedulerDaemon:
         events = request.arg("events")
         if until is None and events is None:
             last = None
-            for _ in range(max(1, request.arg("rounds"))):
+            for _ in range(request.arg("rounds")):
                 last = core.advance_round()
                 await asyncio.sleep(0)
             assert last is not None

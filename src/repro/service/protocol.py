@@ -208,7 +208,8 @@ class VerbSpec:
     #: At most one of these parameters may be given.
     exclusive: tuple[str, ...] = ()
     tiers: tuple[str, ...] = (DAEMON, GATEWAY)
-    #: Domain check run after the type check (``submit``'s job rules).
+    #: Domain check run after the type check (``submit``'s job rules,
+    #: ``step``'s count bounds).
     check: Optional[Callable[[dict[str, Any]], None]] = None
 
     def validate(self, body: dict[str, Any]) -> None:
@@ -233,6 +234,21 @@ class VerbSpec:
 
 
 _JOB_ID = {"job_id": Param(str, required=True)}
+
+#: ``drain``'s default round cap, and the most ``rounds`` or ``events``
+#: one ``step`` may ask for.
+MAX_ROUNDS = 100_000
+
+
+def _check_step_counts(body: dict[str, Any]) -> None:
+    """Raise ``ProtocolError`` on a ``step`` count outside ``[1, MAX_ROUNDS]``."""
+    for name in ("rounds", "events"):
+        value = body.get(name)
+        if value is not None and not 1 <= value <= MAX_ROUNDS:
+            raise ProtocolError(
+                f"step {name!r} must be in [1, {MAX_ROUNDS}], got {value}"
+            )
+
 
 #: Every verb of the protocol, by name.
 VERBS: dict[str, VerbSpec] = {
@@ -261,7 +277,7 @@ VERBS: dict[str, VerbSpec] = {
         VerbSpec(
             "drain",
             "stop admitting and run until every job completes",
-            {"max_rounds": Param(int, default=100_000)},
+            {"max_rounds": Param(int, default=MAX_ROUNDS)},
         ),
         VerbSpec(
             "step",
@@ -272,6 +288,7 @@ VERBS: dict[str, VerbSpec] = {
                 "events": Param(int),
             },
             exclusive=("until", "events", "rounds"),
+            check=_check_step_counts,
         ),
         VerbSpec(
             "faultctl",

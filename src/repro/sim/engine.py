@@ -595,7 +595,6 @@ class SimulationEngine:
             round_index=self._round_index,
             tasks=len(job.tasks),
         )
-        self.scheduler.on_job_arrival(job, self.now)
 
     def _handle_tick(self) -> None:
         # Every pass re-anchors the grid parked passes snap back onto.

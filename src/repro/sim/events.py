@@ -73,10 +73,6 @@ class EventQueue:
         """Time of the earliest event, or ``None`` when empty."""
         return self._heap[0][0] if self._heap else None
 
-    def peek(self) -> Optional[Event]:
-        """The earliest event without removing it, or ``None`` when empty."""
-        return self._heap[0][2] if self._heap else None
-
     def events_in_order(self) -> list[Event]:
         """Every pending event in firing order (non-destructive).
 

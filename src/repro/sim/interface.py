@@ -122,10 +122,6 @@ class SchedulingContext:
     accuracy_predictor: "AccuracyPredictor"
     runtime_predictor: "RuntimePredictor"
 
-    def running_jobs(self) -> list[Job]:
-        """Active jobs that currently have at least one placed task."""
-        return [j for j in self.active_jobs if j.placed_tasks()]
-
     def system_overloaded(self) -> bool:
         """MLF-C's predicate: queued tasks exist or ``O_c > h_s``."""
         return self.cluster.is_overloaded(
@@ -182,9 +178,6 @@ class Scheduler(abc.ABC):
         events that fire in both modes (arrivals, completions,
         iterations) needs no accrual — the default is a no-op.
         """
-
-    def on_job_arrival(self, job: Job, now: float) -> None:
-        """Hook: a job was submitted (optional override)."""
 
     def on_job_complete(self, job: Job, now: float) -> None:
         """Hook: a job finished (optional override)."""

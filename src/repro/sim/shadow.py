@@ -12,18 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import Server
+from repro.sim.interface import Placement
 from repro.workload.job import Task
-
-#: What :meth:`ShadowCluster.snapshot` captures: (server deltas, GPU
-#: deltas, tentative task locations).
-ShadowSnapshot = tuple[
-    dict[int, ResourceVector], dict[tuple[int, int], float], dict[str, Optional[int]]
-]
 
 
 #: Process-wide monotonic shadow identities.  A scheduler builds one
@@ -235,25 +230,52 @@ class ShadowCluster:
         self._add(dst_server_id, dst_gpu_id, task.demand)
         self._locations[task.task_id] = dst_server_id
 
-    # -- snapshot / rollback -------------------------------------------------
+    def place_all(
+        self,
+        tasks: list[Task],
+        choose: Callable[[Task], Optional[tuple[int, int]]],
+    ) -> Optional[list[Placement]]:
+        """All-or-nothing placement of a task group.
 
-    def snapshot(self) -> ShadowSnapshot:
-        """Capture the tentative state (for speculative packing)."""
-        return (
+        ``choose(task)`` returns ``(server_id, gpu_id)``, or ``None``
+        when the task fits nowhere.  Each choice is committed before the
+        next task is chosen, so later choices see earlier ones.  On the first task
+        that fits nowhere every commit of the group is rolled back and
+        ``None`` returned.
+        """
+        saved = (
             dict(self._server_delta),
             dict(self._gpu_delta),
             dict(self._locations),
         )
-
-    def restore(self, snapshot: ShadowSnapshot) -> None:
-        """Roll back to a state captured by :meth:`snapshot`."""
-        server_delta, gpu_delta, locations = snapshot
-        self._server_delta = dict(server_delta)
-        self._gpu_delta = dict(gpu_delta)
-        self._locations = dict(locations)
+        placements: list[Placement] = []
+        for task in tasks:
+            choice = choose(task)
+            if choice is None:
+                self._server_delta, self._gpu_delta, self._locations = saved
+                return None
+            server_id, gpu_id = choice
+            self.commit_placement(task, server_id, gpu_id)
+            placements.append(Placement(task, server_id, gpu_id))
+        return placements
 
     def _add(self, server_id: int, gpu_id: int, demand: ResourceVector) -> None:
         current = self._server_delta.get(server_id, ResourceVector.zeros())
         self._server_delta[server_id] = current + demand
         key = (server_id, gpu_id)
         self._gpu_delta[key] = self._gpu_delta.get(key, 0.0) + demand.gpu
+
+
+def job_groups(ordered: list[Task]) -> list[list[Task]]:
+    """Split an ordered pool into runs of same-job tasks (order kept).
+
+    The unit :meth:`ShadowCluster.place_all` admits: a job iterates only
+    once fully placed, so its tasks are placed together or not at all.
+    """
+    groups: list[list[Task]] = []
+    for task in ordered:
+        if groups and groups[-1][0].job_id == task.job_id:
+            groups[-1].append(task)
+        else:
+            groups.append([task])
+    return groups

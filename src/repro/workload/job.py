@@ -220,11 +220,6 @@ class Job:
     # -- size & parallelism ---------------------------------------------------
 
     @property
-    def num_workers(self) -> int:
-        """Total worker tasks (excluding any parameter server)."""
-        return sum(1 for t in self.tasks if not t.is_parameter_server)
-
-    @property
     def gpus_requested(self) -> int:
         """GPUs the job asked for (replicas × partitions)."""
         return self.num_replicas * self.num_partitions
@@ -302,10 +297,6 @@ class Job:
             if task.task_id == task_id:
                 return task
         raise KeyError(task_id)
-
-    def unfinished_tasks(self) -> list[Task]:
-        """Tasks not yet finally finished."""
-        return [t for t in self.tasks if t.state is not TaskState.FINISHED]
 
     def queued_tasks(self) -> list[Task]:
         """Tasks currently waiting in the queue."""

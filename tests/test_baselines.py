@@ -73,10 +73,12 @@ class TestPackTasks:
         cluster = Cluster.build(1, 1)
         job = make_job(seed=32, gpus=8)
         shadow = ShadowCluster(cluster)
-        before = shadow.snapshot()
         result = pack_tasks(job.tasks, shadow, threshold=0.9)
-        if result is None:
-            assert shadow.snapshot() == before
+        # The first task fits the single GPU, the second does not.
+        assert result is None
+        assert shadow._server_delta == {}
+        assert shadow._gpu_delta == {}
+        assert shadow._locations == {}
 
     def test_pack_prefers_preferred_servers(self, small_cluster):
         job = make_job(seed=33, gpus=1)
@@ -85,7 +87,7 @@ class TestPackTasks:
             job.tasks, shadow, threshold=0.9, preferred_servers=[2]
         )
         assert assignments is not None
-        assert assignments[0][1] == 2
+        assert assignments[0].server_id == 2
 
 
 class TestEachBaselineRuns:

@@ -98,14 +98,6 @@ class TestSchedulingContext:
             runtime_predictor=RuntimePredictor(),
         )
 
-    def test_running_jobs_filters_placed(self):
-        cluster = Cluster.build(2, 4)
-        job = make_job(seed=2)
-        ctx = self.make([job], cluster)
-        assert ctx.running_jobs() == []
-        job.tasks[0].mark_placed(0.0, 0, 0)
-        assert ctx.running_jobs() == [job]
-
     def test_system_overloaded_via_queue(self):
         cluster = Cluster.build(2, 4)
         job = make_job(seed=2)

@@ -265,9 +265,16 @@ class TestMidHeapSnapshot:
         # revive event are still pending.
         assert any(j.arrival_time > engine.now for j in engine.jobs)
         assert engine.now < baseline.now
+        pending = engine._events.events_in_order()
+        assert pending
         blob = pickle.dumps(engine)
 
         restored = pickle.loads(blob)
+        # The restored heap holds the identical pending sequence, and
+        # fires it in exactly that order.
+        assert restored._events.events_in_order() == pending
+        probe = pickle.loads(blob)._events
+        assert [probe.pop() for _ in range(len(probe))] == pending
         while True:
             result = restored.advance()
             if result.drained or result.events_processed == 0:

@@ -125,14 +125,43 @@ class TestShadowCluster:
         assert overloaded == [3]
         assert small_cluster.overloaded_servers(0.9) == []  # live view untouched
 
-    def test_snapshot_restore_roundtrip(self, small_cluster):
+    def test_place_all_commits_each_choice_before_the_next(self, small_cluster):
         shadow = ShadowCluster(small_cluster)
         job = make_job(seed=7)
-        snap = shadow.snapshot()
-        shadow.commit_placement(job.tasks[0], 0, 0)
-        assert shadow.task_location(job.tasks[0]) == 0
-        shadow.restore(snap)
+        seen = []
+
+        def choose(task):
+            seen.append(shadow.server_load(small_cluster.server(0)).gpu)
+            return 0, 0
+
+        placements = shadow.place_all(job.tasks, choose)
+        assert [(p.task, p.server_id, p.gpu_id) for p in placements] == [
+            (t, 0, 0) for t in job.tasks
+        ]
+        assert seen == sorted(seen) and seen[-1] > seen[0]
+        assert all(shadow.task_location(t) == 0 for t in job.tasks)
+
+    def test_place_all_rolls_back_on_first_miss(self, small_cluster):
+        shadow = ShadowCluster(small_cluster)
+        job = make_job(seed=7)
+        earlier = make_job(seed=8, job_id="j1").tasks[0]
+        shadow.commit_placement(earlier, 1, 0)
+        before = (
+            dict(shadow._server_delta),
+            dict(shadow._gpu_delta),
+            dict(shadow._locations),
+        )
+        calls = []
+
+        def choose(task):
+            calls.append(task)
+            return (0, 0) if len(calls) == 1 else None
+
+        assert shadow.place_all(job.tasks, choose) is None
+        assert calls == job.tasks[:2]  # stops at the first miss
+        assert (shadow._server_delta, shadow._gpu_delta, shadow._locations) == before
         assert shadow.task_location(job.tasks[0]) is None
+        assert shadow.task_location(earlier) == 1
         server = small_cluster.server(0)
         assert shadow.server_load(server).gpu == pytest.approx(server.load.gpu)
 

@@ -31,7 +31,14 @@ from repro.service import (
 )
 from repro.service import daemon as daemon_module
 from repro.service.daemon import SchedulerService, ThreadedDaemon
-from repro.service.protocol import DAEMON, GATEWAY, VERBS, VerbHandlers, check_job
+from repro.service.protocol import (
+    DAEMON,
+    GATEWAY,
+    MAX_ROUNDS,
+    VERBS,
+    VerbHandlers,
+    check_job,
+)
 
 PROTOCOL_SOURCE = Path(daemon_module.__file__).with_name("protocol.py")
 
@@ -214,6 +221,22 @@ class TestLiveTiers:
                 assert fragment in message, (verb, params, message)
                 assert not message.startswith("internal error"), (verb, params)
                 assert client.ping()
+
+
+    def test_step_counts_are_bounded(self, live_target):
+        """``rounds`` and ``events`` outside ``[1, MAX_ROUNDS]`` are refused
+        before any pass runs; the bounds themselves are accepted."""
+        with ServiceClient(live_target) as client:
+            for name in ("rounds", "events"):
+                for value in (0, -1, MAX_ROUNDS + 1, 10**18):
+                    with pytest.raises(ServiceError, match=f"step '{name}' must be in"):
+                        client.call("step", **{name: value})
+            # No refused request ran a pass: this step runs pass 0.
+            result = client.call("step", rounds=1)
+            partitions = result.get("partitions", {"": result})
+            assert [r["round"] for r in partitions.values()] == [0] * len(partitions)
+            client.call("step", events=MAX_ROUNDS)
+            assert client.ping()
 
 
 class TestErrorReplyIsNotADeadWorker:

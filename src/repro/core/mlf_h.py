@@ -2,7 +2,8 @@
 
 Each scheduling round:
 
-1. compute Eq. 6 priorities for every task of every active job;
+1. compute Eq. 6 priorities for the jobs the pass can act on: those
+   with a queued task or a task on an overloaded server;
 2. if migration is enabled, pick migration tasks out of each overloaded
    server (ideal-virtual-task rule, ``p_s``-restricted when GPUs are
    hot) — these are *virtually* queued;
@@ -94,7 +95,7 @@ def completion_boosts(jobs: list[Job]) -> dict[str, float]:
 class MLFPass(Scheduler):
     """The MLF scheduling pass shared by MLF-H and MLF-RL.
 
-    One pass scores every task of every active job, moves (or evicts)
+    One pass scores the jobs it can act on, moves (or evicts)
     the migration candidates of overloaded servers, then admits queued
     jobs all-or-nothing in score order.  Subclasses supply two hooks:
     :meth:`_order_score` (the priority by default) and
@@ -121,11 +122,21 @@ class MLFPass(Scheduler):
 
     def on_schedule(self, ctx: SchedulingContext) -> SchedulerDecision:
         decision = SchedulerDecision()
-        with _span("priority", jobs=len(ctx.active_jobs)):
-            priorities = self.calculator.priorities(ctx.active_jobs, ctx.now)
+        overloaded = (
+            ctx.cluster.overloaded_servers(self.config.overload_threshold)
+            if self.config.enable_migration
+            else []
+        )
+        # Only queued tasks and tasks on overloaded servers (the victim
+        # pool) are scored, and a job's map depends on that job alone.
+        scored = {t.job_id for t in ctx.queue}
+        scored.update(t.job_id for server in overloaded for t in server.tasks())
+        jobs = [job for job in ctx.active_jobs if job.job_id in scored]
+        with _span("priority", jobs=len(jobs)):
+            priorities = self.calculator.priorities(jobs, ctx.now)
             _publish_priorities(priorities)
         shadow = ShadowCluster(ctx.cluster)
-        boost = completion_boosts(ctx.active_jobs)
+        boost = completion_boosts(jobs)
 
         def score(task: Task) -> float:
             return self._order_score(task, priorities, ctx) * boost.get(
@@ -138,13 +149,10 @@ class MLFPass(Scheduler):
         # Migration candidates move (or are evicted) individually.
         with _span("migration"):
             migration_candidates: list[Task] = []
-            if self.config.enable_migration:
-                for server in ctx.cluster.overloaded_servers(
-                    self.config.overload_threshold
-                ):
-                    migration_candidates.extend(
-                        self.migration.select(server, shadow, priorities)
-                    )
+            for server in overloaded:
+                migration_candidates.extend(
+                    self.migration.select(server, shadow, priorities)
+                )
             for task in order_pool(
                 migration_candidates,
                 {t.task_id: score(t) for t in migration_candidates},

@@ -66,17 +66,6 @@ class PriorityCalculator:
     config: MLFSConfig
     _reverse_topo: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _children: dict[str, dict[str, list[str]]] = field(default_factory=dict, repr=False)
-    #: Incremental recomputation (the event-engine's per-pass hot path):
-    #: the propagated ML-priority vector of a job is a pure function of
-    #: its iteration count — urgency and partition sizes are static and
-    #: the Eq. 2 temporal factor reads the frozen loss curve at
-    #: ``iterations_completed`` — so it is memoized per job and
-    #: self-invalidates when the count moves (including *backwards*
-    #: after a fault-rollback).  The computation priority (Eq. 4)
-    #: depends on ``now`` and is recomputed every pass.
-    _ml_cache: dict[str, tuple[int, dict[str, float]]] = field(
-        default_factory=dict, repr=False
-    )
 
     # -- per-task base priorities ------------------------------------------
 
@@ -147,21 +136,10 @@ class PriorityCalculator:
     # -- public API --------------------------------------------------------
 
     def job_priorities(self, job: Job, now: float) -> dict[str, float]:
-        """Eq. 6 priorities for every task of one job.
-
-        The propagated ML half is served from ``_ml_cache`` whenever the
-        job's iteration count is unchanged since the last pass — the
-        values are bit-identical to a fresh computation, so cached and
-        uncached passes produce the same schedule.
-        """
+        """Eq. 6 priorities for every task of one job."""
         alpha = self.config.priority.alpha if self.config.use_ml_features else 0.0
-        cached = self._ml_cache.get(job.job_id)
-        if cached is not None and cached[0] == job.iterations_completed:
-            ml = cached[1]
-        else:
-            ml_base = {t.task_id: self.base_ml_priority(t) for t in job.tasks}
-            ml = self._propagate(job, ml_base)
-            self._ml_cache[job.job_id] = (job.iterations_completed, ml)
+        ml_base = {t.task_id: self.base_ml_priority(t) for t in job.tasks}
+        ml = self._propagate(job, ml_base)
         comp_base = {
             t.task_id: self.base_computation_priority(t, now) for t in job.tasks
         }
@@ -180,17 +158,17 @@ class PriorityCalculator:
         return out
 
     def forget(self, job: Job) -> None:
-        """Drop the cached structure and priorities of a finished job."""
+        """Drop the cached DAG structure of a finished job."""
         self._reverse_topo.pop(job.job_id, None)
         self._children.pop(job.job_id, None)
-        self._ml_cache.pop(job.job_id, None)
 
     def _boost_parameter_server(self, job: Job, priorities: dict[str, float]) -> None:
         ps_ids = [t.task_id for t in job.tasks if t.is_parameter_server]
         if not ps_ids:
             return
+        ps_set = set(ps_ids)
         worker_max = max(
-            (p for tid, p in priorities.items() if tid not in set(ps_ids)),
+            (p for tid, p in priorities.items() if tid not in ps_set),
             default=0.0,
         )
         for tid in ps_ids:

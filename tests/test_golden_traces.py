@@ -24,6 +24,7 @@ import pytest
 
 from repro.baselines import (
     GandivaScheduler,
+    GrapheneScheduler,
     RLScheduler,
     SLAQScheduler,
     TiresiasScheduler,
@@ -185,6 +186,9 @@ SCENARIOS = {
         None,
         contended_setup,
     ),
+    # Graphene orders each job's tasks by descendant count, so a standing
+    # queue pins how it reads the job graph.
+    "graphene": (GrapheneScheduler, None, contended_setup),
 }
 
 #: Scenarios whose snapshot round-trip runs on every n-th pass only:
@@ -192,6 +196,7 @@ SCENARIOS = {
 #: scenarios run hundreds of passes each.
 SNAPSHOT_EVERY = {
     "philly": 10,
+    "graphene": 10,
     **{name: 10 for name in SCENARIOS if name.startswith("contended_")},
 }
 

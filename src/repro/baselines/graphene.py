@@ -11,13 +11,11 @@ objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.baselines.base import GangScheduler
 from repro.sim.interface import SchedulingContext
-from repro.workload.job import Job, Task, TaskState
+from repro.workload.job import Job, Task
 
 
 @dataclass
@@ -33,7 +31,6 @@ class GrapheneScheduler(GangScheduler):
     weight_jct: float = 0.5
     weight_throughput: float = 0.3
     weight_fairness: float = 0.2
-    _dependents: dict[str, int] = field(default_factory=dict)
 
     def job_score(self, job: Job, ctx: SchedulingContext) -> float:
         """Weighted multi-objective score; higher = earlier admission."""
@@ -61,14 +58,6 @@ class GrapheneScheduler(GangScheduler):
         return ordered
 
     def _troublesomeness(self, task: Task) -> float:
-        if task.task_id not in self._dependents:
-            self._dependents[task.task_id] = len(
-                nx.descendants(task.job.dag, task.task_id)
-            )
-        dependents = self._dependents[task.task_id]
+        dependents = task.job.dag.descendant_counts[task.task_id]
         demand = task.demand.gpu + task.demand.cpu / 32.0 + task.demand.mem / 244.0
         return dependents + demand
-
-    def on_job_complete(self, job: Job, now: float) -> None:
-        for task in job.tasks:
-            self._dependents.pop(task.task_id, None)

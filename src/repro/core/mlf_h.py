@@ -181,7 +181,6 @@ class MLFPass(Scheduler):
         return decision
 
     def on_job_complete(self, job: Job, now: float) -> None:
-        self.calculator.forget(job)
         self.comm_index.forget(job)
 
     # -- hooks -----------------------------------------------------------------

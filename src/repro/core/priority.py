@@ -21,10 +21,8 @@ the tasks in the workers know where to send their results").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from repro.core.config import MLFSConfig, PriorityWeights
 from repro.workload.job import Job, Task
@@ -57,15 +55,9 @@ def job_temporal_factor(job: Job) -> float:
 
 @dataclass
 class PriorityCalculator:
-    """Computes Eq. 6 priorities for every task of a set of jobs.
-
-    Caches per-job DAG structure (reverse topological order, direct
-    children) since the graph never changes after job construction.
-    """
+    """Computes Eq. 6 priorities for every task of a set of jobs."""
 
     config: MLFSConfig
-    _reverse_topo: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _children: dict[str, dict[str, list[str]]] = field(default_factory=dict, repr=False)
 
     # -- per-task base priorities ------------------------------------------
 
@@ -110,23 +102,12 @@ class PriorityCalculator:
 
     # -- DAG propagation (Eqs. 3 and 5) --------------------------------------
 
-    def _structure(self, job: Job) -> tuple[list[str], dict[str, list[str]]]:
-        order = self._reverse_topo.get(job.job_id)
-        children = self._children.get(job.job_id)
-        if order is None or children is None:
-            topo = list(nx.topological_sort(job.dag))
-            order = list(reversed(topo))
-            children = {node: list(job.dag.successors(node)) for node in topo}
-            self._reverse_topo[job.job_id] = order
-            self._children[job.job_id] = children
-        return order, children
-
     def _propagate(self, job: Job, base: dict[str, float]) -> dict[str, float]:
         """``P_k = P'_k + γ Σ_{i ∈ child(k)} P_i`` in reverse topo order."""
         gamma = self.config.priority.gamma
-        order, children = self._structure(job)
+        children = job.dag.successors
         out: dict[str, float] = {}
-        for node in order:
+        for node in reversed(job.dag.order):
             total = base.get(node, 0.0)
             for child in children[node]:
                 total += gamma * out[child]
@@ -156,11 +137,6 @@ class PriorityCalculator:
         for job in jobs:
             out.update(self.job_priorities(job, now))
         return out
-
-    def forget(self, job: Job) -> None:
-        """Drop the cached DAG structure of a finished job."""
-        self._reverse_topo.pop(job.job_id, None)
-        self._children.pop(job.job_id, None)
 
     def _boost_parameter_server(self, job: Job, priorities: dict[str, float]) -> None:
         ps_ids = [t.task_id for t in job.tasks if t.is_parameter_server]

@@ -31,8 +31,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-#: Snapshot layout revision.
-SNAPSHOT_FORMAT = 1
+#: Snapshot layout revision (2: a job's graph became a frozen ``JobGraph``).
+SNAPSHOT_FORMAT = 2
+#: What unpickling a corrupt, truncated or foreign snapshot raises; one
+#: naming a module or class this build lacks raises the last two.
+_UNREADABLE = (OSError, EOFError, pickle.UnpicklingError, ImportError, AttributeError)
 
 _PREFIX = "snap-"
 _SUFFIX = ".pkl"
@@ -98,16 +101,20 @@ class SnapshotManager:
         self._prune()
         return target
 
-    def load(self, path: Optional[Path] = None) -> Any:
-        """Restore the state object from ``path`` (default: newest)."""
+    def _read(self, path: Optional[Path]) -> tuple[Path, Any]:
+        """Unpickle the snapshot at ``path`` (default: newest)."""
         target = Path(path) if path is not None else self.latest_path()
         if target is None:
             raise SnapshotError(f"no snapshots under {self.directory}")
         try:
             with target.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+                return target, pickle.load(handle)
+        except _UNREADABLE as exc:
             raise SnapshotError(f"cannot read snapshot {target}: {exc}") from exc
+
+    def load(self, path: Optional[Path] = None) -> Any:
+        """Restore the state object from ``path`` (default: newest)."""
+        target, payload = self._read(path)
         if not isinstance(payload, dict) or "state" not in payload:
             raise SnapshotError(f"snapshot {target} has no state payload")
         if payload.get("format") != SNAPSHOT_FORMAT:
@@ -119,11 +126,7 @@ class SnapshotManager:
 
     def load_meta(self, path: Optional[Path] = None) -> dict[str, Any]:
         """Snapshot header (round, sim_time) without keeping the state."""
-        target = Path(path) if path is not None else self.latest_path()
-        if target is None:
-            raise SnapshotError(f"no snapshots under {self.directory}")
-        with target.open("rb") as handle:
-            payload = pickle.load(handle)
+        _target, payload = self._read(path)
         return {k: payload[k] for k in ("format", "round", "sim_time")}
 
     def _prune(self) -> None:

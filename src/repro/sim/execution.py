@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.cluster.cluster import Cluster
 from repro.workload.job import Job, Task
 from repro.sim.network import CommLink, IterationComm, iteration_comm, job_links
@@ -39,10 +37,6 @@ class ExecutionModel:
     straggler_probability: float = 0.0
     straggler_slowdown: float = 3.0
 
-    _topo_cache: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _preds_cache: dict[str, dict[str, list[str]]] = field(
-        default_factory=dict, repr=False
-    )
     _links_cache: dict[str, list[CommLink]] = field(default_factory=dict, repr=False)
     #: Memoized (placement+load key, compute seconds, comm) per job: a
     #: job iterating on an otherwise-quiet cluster re-derives the exact
@@ -57,30 +51,6 @@ class ExecutionModel:
 
     # -- caches ----------------------------------------------------------
 
-    def topo_order(self, job: Job) -> list[str]:
-        """Cached topological order of the job's task DAG."""
-        order = self._topo_cache.get(job.job_id)
-        if order is None:
-            order = list(nx.topological_sort(job.dag))
-            self._topo_cache[job.job_id] = order
-        return order
-
-    def predecessors(self, job: Job) -> dict[str, list[str]]:
-        """Cached predecessor lists of the job's task DAG.
-
-        ``compute_critical_path`` runs once per iteration start, so at
-        trace scale the graph-walk overhead of
-        ``dag.predecessors(node)`` dominates; the DAG is frozen after
-        job construction, so the adjacency is cached like the topo
-        order.
-        """
-        preds = self._preds_cache.get(job.job_id)
-        if preds is None:
-            dag = job.dag
-            preds = {node: list(dag.predecessors(node)) for node in dag.nodes}
-            self._preds_cache[job.job_id] = preds
-        return preds
-
     def links(self, job: Job) -> list[CommLink]:
         """Cached communication links of the job."""
         cached = self._links_cache.get(job.job_id)
@@ -91,8 +61,6 @@ class ExecutionModel:
 
     def forget(self, job: Job) -> None:
         """Drop caches of a finished job."""
-        self._topo_cache.pop(job.job_id, None)
-        self._preds_cache.pop(job.job_id, None)
         self._links_cache.pop(job.job_id, None)
         self._duration_cache.pop(job.job_id, None)
 
@@ -117,21 +85,12 @@ class ExecutionModel:
 
     def compute_critical_path(self, job: Job, cluster: Cluster) -> float:
         """Longest dependency chain of contention-adjusted compute times."""
-        effective: dict[str, float] = {}
-        for task in job.tasks:
-            effective[task.task_id] = task.compute_seconds * self.task_slowdown(
-                task, cluster
-            )
-        longest: dict[str, float] = {}
-        preds = self.predecessors(job)
-        for node in self.topo_order(job):
-            best = 0.0
-            for pred in preds[node]:
-                value = longest[pred]
-                if value > best:
-                    best = value
-            longest[node] = best + effective.get(node, 0.0)
-        return max(longest.values(), default=0.0)
+        return job.dag.critical_path(
+            {
+                task.task_id: task.compute_seconds * self.task_slowdown(task, cluster)
+                for task in job.tasks
+            }
+        )
 
     def iteration_duration(
         self, job: Job, cluster: Cluster, straggler_draw: float = 1.0

@@ -42,8 +42,8 @@ def job_links(job: Job) -> list[CommLink]:
     """
     by_id = {t.task_id: t for t in job.tasks}
     links = [
-        CommLink(src=by_id[u], dst=by_id[v], volume_mb=data["volume_mb"])
-        for u, v, data in job.dag.edges(data=True)
+        CommLink(src=by_id[u], dst=by_id[v], volume_mb=vol)
+        for u, v, vol in job.dag.edges
     ]
     links.extend(
         CommLink(src=by_id[u], dst=by_id[v], volume_mb=vol)

@@ -4,7 +4,6 @@ from repro.workload.dag import (
     DEFAULT_COMM_VOLUME_RANGE,
     build_task_graph,
     critical_path_seconds,
-    dependents_count,
 )
 from repro.workload.generator import (
     WorkloadConfig,
@@ -17,6 +16,7 @@ from repro.workload.generator import (
 from repro.workload.job import (
     CommStructure,
     Job,
+    JobGraph,
     JobState,
     StopOption,
     Task,
@@ -44,6 +44,7 @@ __all__ = [
     "DEFAULT_COMM_VOLUME_RANGE",
     "GPU_CHOICES",
     "Job",
+    "JobGraph",
     "JobState",
     "LayerSpec",
     "MODEL_NAMES",
@@ -62,7 +63,6 @@ __all__ = [
     "build_jobs",
     "build_task_graph",
     "critical_path_seconds",
-    "dependents_count",
     "estimate_execution_time",
     "generate_trace",
     "get_model",

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.cluster.resources import ResourceVector
-from repro.workload.job import CommStructure, Job, Task
+from repro.workload.job import CommStructure, Edge, Job, JobGraph, Task
 from repro.workload.partition import ModelPartition, partition_model
 
 #: Paper's per-link communication volume range in MB (Section 4.1).
@@ -46,7 +44,8 @@ def build_task_graph(
     def volume() -> float:
         return rng.uniform(lo, hi)
 
-    dag = nx.DiGraph()
+    nodes: list[str] = []
+    edges: list[Edge] = []
     tasks: list[Task] = []
 
     grid: dict[tuple[int, int], Task] = {}
@@ -55,7 +54,7 @@ def build_task_graph(
             task = _make_worker(job, replica, part)
             grid[(replica, part.index)] = task
             tasks.append(task)
-            dag.add_node(task.task_id)
+            nodes.append(task.task_id)
 
     # Intra-replica precedence from sequential partitioning.
     for replica in range(job.num_replicas):
@@ -63,18 +62,18 @@ def build_task_graph(
             if part.depends_on_previous:
                 src = grid[(replica, part.index - 1)]
                 dst = grid[(replica, part.index)]
-                dag.add_edge(src.task_id, dst.task_id, volume_mb=volume())
+                edges.append((src.task_id, dst.task_id, volume()))
 
-    sync_links: list[tuple[str, str, float]] = []
+    sync_links: list[Edge] = []
     if job.comm_structure is CommStructure.PARAMETER_SERVER:
         ps_task = _make_parameter_server(job)
         tasks.append(ps_task)
-        dag.add_node(ps_task.task_id)
+        nodes.append(ps_task.task_id)
         finals = _final_partitions(partitions)
         for replica in range(job.num_replicas):
             for part in finals:
                 src = grid[(replica, part.index)]
-                dag.add_edge(src.task_id, ps_task.task_id, volume_mb=volume())
+                edges.append((src.task_id, ps_task.task_id, volume()))
     else:
         reducers = _reducer_tasks(grid, partitions, job.num_replicas)
         if job.comm_structure is CommStructure.RING_ALLREDUCE:
@@ -86,7 +85,7 @@ def build_task_graph(
         task.actual_demand = _jitter_demand(task.demand, rng)
 
     job.tasks = tasks
-    job.dag = dag
+    job.dag = JobGraph.build(nodes, edges)
     job.sync_links = sync_links
 
 
@@ -199,7 +198,7 @@ def _reducer_tasks(
     return reducers
 
 
-def _ring_links(reducers: list[Task], volume) -> list[tuple[str, str, float]]:
+def _ring_links(reducers: list[Task], volume) -> list[Edge]:
     """Ring all-reduce: reducer ``i`` sends to reducer ``i+1 mod n``."""
     n = len(reducers)
     if n < 2:
@@ -210,37 +209,19 @@ def _ring_links(reducers: list[Task], volume) -> list[tuple[str, str, float]]:
     ]
 
 
-def _torus_links(reducers: list[Task], volume) -> list[tuple[str, str, float]]:
+def _torus_links(reducers: list[Task], volume) -> list[Edge]:
     """2D-torus all-reduce: row rings then column rings over a near-square grid."""
     n = len(reducers)
     if n < 2:
         return []
     cols = max(1, int(n**0.5))
     rows = (n + cols - 1) // cols
-    links: list[tuple[str, str, float]] = []
-
-    def at(r: int, c: int) -> Task | None:
-        idx = r * cols + c
-        return reducers[idx] if idx < n else None
-
+    links: list[Edge] = []
     for r in range(rows):
-        row = [at(r, c) for c in range(cols)]
-        row = [t for t in row if t is not None]
-        if len(row) >= 2:
-            for i in range(len(row)):
-                links.append((row[i].task_id, row[(i + 1) % len(row)].task_id, volume()))
+        links.extend(_ring_links(reducers[r * cols : (r + 1) * cols], volume))
     for c in range(cols):
-        col = [at(r, c) for r in range(rows)]
-        col = [t for t in col if t is not None]
-        if len(col) >= 2:
-            for i in range(len(col)):
-                links.append((col[i].task_id, col[(i + 1) % len(col)].task_id, volume()))
+        links.extend(_ring_links(reducers[c::cols], volume))
     return links
-
-
-def dependents_count(dag: nx.DiGraph, task_id: str) -> int:
-    """Number of (transitive) dependents of a task in the DAG."""
-    return len(nx.descendants(dag, task_id))
 
 
 def critical_path_seconds(job: Job) -> float:
@@ -251,10 +232,4 @@ def critical_path_seconds(job: Job) -> float:
     """
     if not job.tasks:
         return 0.0
-    compute = {t.task_id: t.compute_seconds for t in job.tasks}
-    longest: dict[str, float] = {}
-    for node in nx.topological_sort(job.dag):
-        preds = list(job.dag.predecessors(node))
-        base = max((longest[p] for p in preds), default=0.0)
-        longest[node] = base + compute.get(node, 0.0)
-    return max(longest.values(), default=0.0)
+    return job.dag.critical_path({t.task_id: t.compute_seconds for t in job.tasks})

@@ -170,7 +170,7 @@ def estimate_execution_time(job: Job, config: Optional[WorkloadConfig] = None) -
     """
     cfg = config or WorkloadConfig()
     compute = critical_path_seconds(job)
-    volume = sum(d["volume_mb"] for *_e, d in job.dag.edges(data=True))
+    volume = sum(v for *_pair, v in job.dag.edges)
     volume += sum(v for *_pair, v in job.sync_links)
     volume *= job.model.comm_rounds_per_iteration
     comm = volume / cfg.assumed_bandwidth_mbps if cfg.assumed_bandwidth_mbps else 0.0

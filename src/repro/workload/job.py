@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-import networkx as nx
+from typing import Mapping, Optional, Sequence
 
 from repro.cluster.resources import ResourceVector
 from repro.workload.models import ModelProfile
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+#: A communication link between two tasks: ``(src, dst, volume_mb)``.
+Edge = tuple[str, str, float]
 
 
 class CommStructure(enum.Enum):
@@ -62,6 +60,94 @@ class JobState(enum.Enum):
     WAITING = "waiting"
     RUNNING = "running"
     COMPLETED = "completed"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class JobGraph:
+    """A job's task dependency graph, frozen once built.
+
+    :meth:`build` runs once, at the end of
+    :func:`repro.workload.dag.build_task_graph`, and nothing changes the
+    graph afterwards, so every reader walks these fields directly and no
+    component keeps (or has to evict) its own copy.  Nodes are task ids.
+
+    Attributes
+    ----------
+    order:
+        Topological order, generation by generation: the sources in node
+        insertion order, then each task as its last incoming edge is
+        consumed.
+    predecessors / successors:
+        Task id -> direct parents / children, in edge insertion order.
+    edges:
+        The dependency edges: sources in node insertion order, each
+        followed by its successors.
+    descendant_counts:
+        Task id -> number of its transitive descendants.
+    """
+
+    order: tuple[str, ...] = ()
+    predecessors: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    successors: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    edges: tuple[Edge, ...] = ()
+    descendant_counts: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, nodes: Sequence[str], edges: Sequence[Edge]) -> JobGraph:
+        """Freeze the graph over ``nodes`` and ``edges`` (in insertion order)."""
+        preds: dict[str, list[str]] = {node: [] for node in nodes}
+        succs: dict[str, list[str]] = {node: [] for node in nodes}
+        volumes: dict[tuple[str, str], float] = {}
+        for src, dst, volume in edges:
+            succs[src].append(dst)
+            preds[dst].append(src)
+            volumes[src, dst] = volume
+
+        indegree = {node: len(parents) for node, parents in preds.items()}
+        order: list[str] = []
+        generation = [node for node in nodes if not indegree[node]]
+        while generation:
+            order.extend(generation)
+            consumed: list[str] = []
+            for node in generation:
+                for child in succs[node]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        consumed.append(child)
+            generation = consumed
+
+        # Descendant sets as bitmasks over topological positions, built
+        # children first.
+        position = {node: index for index, node in enumerate(order)}
+        reach: dict[str, int] = {}
+        for node in reversed(order):
+            mask = 0
+            for child in succs[node]:
+                mask |= reach[child] | (1 << position[child])
+            reach[node] = mask
+
+        return cls(
+            order=tuple(order),
+            predecessors={node: tuple(preds[node]) for node in nodes},
+            successors={node: tuple(succs[node]) for node in nodes},
+            edges=tuple(
+                (src, dst, volumes[src, dst]) for src in nodes for dst in succs[src]
+            ),
+            descendant_counts={node: reach[node].bit_count() for node in nodes},
+        )
+
+    def critical_path(self, weights: Mapping[str, float]) -> float:
+        """Heaviest chain of per-task ``weights`` (all >= 0) through the graph."""
+        predecessors = self.predecessors
+        longest: dict[str, float] = {}
+        for node in self.order:
+            best = 0.0
+            for pred in predecessors[node]:
+                value = longest[pred]
+                if value > best:
+                    best = value
+            longest[node] = best + weights[node]
+        return max(longest.values(), default=0.0)
 
 
 @dataclass
@@ -186,12 +272,12 @@ class Job:
     estimated_duration: float = 0.0
 
     tasks: list[Task] = field(default_factory=list)
-    #: Dependency graph over task ids; edge attr ``volume_mb`` is the
+    #: Dependency graph over task ids; an edge's ``volume_mb`` is the
     #: per-iteration communication volume on that edge.
-    dag: nx.DiGraph = field(default_factory=nx.DiGraph)
-    #: Non-dependency synchronization links (all-reduce rings/tori):
-    #: ``(src_task_id, dst_task_id, volume_mb)`` charged every iteration.
-    sync_links: list[tuple[str, str, float]] = field(default_factory=list)
+    dag: JobGraph = field(default_factory=JobGraph)
+    #: Non-dependency synchronization links (all-reduce rings/tori),
+    #: charged every iteration.
+    sync_links: list[Edge] = field(default_factory=list)
 
     state: JobState = JobState.WAITING
     iterations_completed: int = 0

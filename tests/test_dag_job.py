@@ -1,8 +1,8 @@
 """Unit tests for task-graph construction and the Job/Task model."""
 
+import pickle
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,6 @@ from repro.workload import (
     TaskState,
     build_task_graph,
     critical_path_seconds,
-    dependents_count,
 )
 from repro.workload.dag import _jitter_demand
 from repro.cluster import ResourceVector
@@ -30,8 +29,13 @@ def job_with_structure(structure, seed=0, **kwargs):
 
 
 class TestTaskGraph:
-    def test_dag_is_acyclic(self, simple_job):
-        assert nx.is_directed_acyclic_graph(simple_job.dag)
+    def test_order_is_topological(self, simple_job):
+        graph = simple_job.dag
+        assert sorted(graph.order) == sorted(t.task_id for t in simple_job.tasks)
+        position = {node: i for i, node in enumerate(graph.order)}
+        assert graph.edges
+        for src, dst, _volume in graph.edges:
+            assert position[src] < position[dst]
 
     def test_task_count_matches_grid(self, simple_job):
         expected = simple_job.num_replicas * simple_job.num_partitions
@@ -43,8 +47,8 @@ class TestTaskGraph:
         ps = [t for t in job.tasks if t.is_parameter_server]
         assert len(ps) == 1
         # PS is a sink: no outgoing dependency edges.
-        assert job.dag.out_degree(ps[0].task_id) == 0
-        assert job.dag.in_degree(ps[0].task_id) >= 1
+        assert job.dag.successors[ps[0].task_id] == ()
+        assert len(job.dag.predecessors[ps[0].task_id]) >= 1
 
     def test_ring_allreduce_has_sync_links_no_ps(self):
         job = job_with_structure(CommStructure.RING_ALLREDUCE, gpus=8)
@@ -62,8 +66,8 @@ class TestTaskGraph:
             assert 50.0 <= volume <= 100.0
 
     def test_edge_volumes_in_paper_range(self, simple_job):
-        for *_edge, data in simple_job.dag.edges(data=True):
-            assert 50.0 <= data["volume_mb"] <= 100.0
+        for *_edge, volume in simple_job.dag.edges:
+            assert 50.0 <= volume <= 100.0
 
     def test_rebuild_raises(self, simple_job):
         with pytest.raises(ValueError):
@@ -80,12 +84,23 @@ class TestTaskGraph:
             # partitions chain: p0 -> p1 -> ...
             ids = {t.partition_index: t.task_id for t in tasks}
             for p in range(1, len(ids)):
-                assert job.dag.has_edge(ids[p - 1], ids[p])
+                assert ids[p] in job.dag.successors[ids[p - 1]]
+                assert ids[p - 1] in job.dag.predecessors[ids[p]]
 
-    def test_dependents_count(self, simple_job):
+    def test_descendant_counts(self, simple_job):
+        # Sequential partitions chain p0 -> p1 -> ... and the last one
+        # reports to the PS: partition p reaches the rest of its chain
+        # and the PS.
+        counts = simple_job.dag.descendant_counts
+        partitions = simple_job.num_partitions
         for task in simple_job.tasks:
-            count = dependents_count(simple_job.dag, task.task_id)
-            assert count >= 0
+            if task.is_parameter_server:
+                assert counts[task.task_id] == 0
+            else:
+                assert counts[task.task_id] == partitions - task.partition_index
+
+    def test_pickled_job_names_no_networkx(self, simple_job):
+        assert b"networkx" not in pickle.dumps(simple_job)
 
     def test_critical_path_positive(self, simple_job):
         assert critical_path_seconds(simple_job) > 0.0

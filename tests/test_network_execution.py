@@ -24,7 +24,7 @@ def place_all(job, cluster, spread=False):
 class TestLinks:
     def test_links_cover_dag_and_sync(self, simple_job):
         links = job_links(simple_job)
-        expected = simple_job.dag.number_of_edges() + len(simple_job.sync_links)
+        expected = len(simple_job.dag.edges) + len(simple_job.sync_links)
         assert len(links) == expected
 
     def test_link_volumes_positive(self, simple_job):
@@ -139,7 +139,8 @@ class TestExecutionModel:
         job = make_job(seed=28)
         place_all(job, small_cluster)
         model.iteration_duration(job, small_cluster)
-        assert job.job_id in model._topo_cache
+        assert job.job_id in model._links_cache
+        assert job.job_id in model._duration_cache
         model.forget(job)
-        assert job.job_id not in model._topo_cache
         assert job.job_id not in model._links_cache
+        assert job.job_id not in model._duration_cache

@@ -169,14 +169,6 @@ class TestPropagation:
         expected = {t.task_id for j in jobs for t in j.tasks}
         assert set(priorities) == expected
 
-    def test_forget_clears_cache(self):
-        calc = calculator()
-        job = make_job(seed=13)
-        calc.job_priorities(job, now=0.0)
-        assert job.job_id in calc._reverse_topo
-        calc.forget(job)
-        assert job.job_id not in calc._reverse_topo
-
     def test_make_calculator_validates(self):
         with pytest.raises(ValueError):
             make_calculator(weights=PriorityWeights(alpha=2.0))

@@ -8,6 +8,7 @@ core, and a daemon/client round trip over a real Unix socket.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -406,6 +407,33 @@ class TestSnapshotManager:
         manager = SnapshotManager(tmp_path / "empty")
         with pytest.raises(SnapshotError):
             manager.load()
+
+    def test_older_format_refused(self, tmp_path):
+        manager = SnapshotManager(tmp_path / "snaps")
+        path = manager.save({"round": 1}, round_index=1, sim_time=0.0)
+        payload = {"format": 1, "round": 1, "sim_time": 0.0, "state": {}}
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SnapshotError, match="format 1"):
+            manager.load()
+
+    @pytest.mark.parametrize(
+        "missing",
+        [
+            # A module this host lacks, as format 1's networkx graphs
+            # are on a host without networkx.
+            b"cno_such_module.graphs\nDiGraph\n)\x81.",
+            # A module that exists without the named class.
+            b"crepro.workload.job\nNoSuchGraph\n)\x81.",
+        ],
+    )
+    def test_pickle_naming_missing_code_refused(self, tmp_path, missing):
+        manager = SnapshotManager(tmp_path / "snaps")
+        path = manager.save({"round": 1}, round_index=1, sim_time=0.0)
+        path.write_bytes(missing)
+        with pytest.raises(SnapshotError, match="cannot read snapshot"):
+            manager.load()
+        with pytest.raises(SnapshotError, match="cannot read snapshot"):
+            manager.load_meta()
 
 
 def scripted_specs(count=12):

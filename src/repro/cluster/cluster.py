@@ -233,31 +233,46 @@ def capacity_bounds(cluster: Cluster) -> tuple[ResourceVector, ResourceVector]:
     return total, largest
 
 
+#: Element-wise sum and maximum of a job's task demands, ordered as
+#: :class:`ResourceKind` (see :func:`demand_bounds`).
+DemandBounds = tuple[tuple[float, ...], tuple[float, ...]]
+
+
+def demand_bounds(demands: Iterable[ResourceVector]) -> Optional[DemandBounds]:
+    """Element-wise sum and maximum of ``demands`` (summed in their
+    order), or ``None`` when there are none."""
+    columns = list(zip(*(demand.as_tuple() for demand in demands)))
+    if not columns:
+        return None
+    return tuple(sum(column) for column in columns), tuple(
+        max(column) for column in columns
+    )
+
+
 def infeasible_reason(
-    tasks: Iterable["Task"],
+    need: Optional[DemandBounds],
     bounds: tuple[ResourceVector, ResourceVector],
     threshold: float,
 ) -> Optional[str]:
-    """Why a job's tasks can never all be placed, or ``None``.
+    """Why a job whose task demands have ``need`` can never run, or ``None``.
 
     Placement keeps every server at or under ``threshold`` of its
     capacity (Section 3.3.2) and a job iterates only once its whole gang
     is placed, so the job can never run when, for some resource, its
     summed task ``demand`` exceeds ``threshold`` × the total capacity,
     or one task's ``demand`` exceeds ``threshold`` × the largest server
-    (``bounds`` is :func:`capacity_bounds`).  A job that lacks room only
-    while servers are down must wait, so it is not rejected.
+    (``need`` is :func:`demand_bounds`, ``bounds`` is
+    :func:`capacity_bounds`).  A job that lacks room only while servers
+    are down must wait, so it is not rejected.
     """
-    columns = list(zip(*(task.demand.as_tuple() for task in tasks)))
-    if not columns:
+    if need is None:
         return None
-    summed = [sum(column) for column in columns]
-    widest = [max(column) for column in columns]
+    summed, widest = need
     checks = (("", summed, bounds[0]), ("one task's ", widest, bounds[1]))
-    for what, need, have in checks:
-        for kind, amount, capacity in zip(ResourceKind, need, have):
+    for what, amounts, have in checks:
+        for kind, amount, capacity in zip(ResourceKind, amounts, have):
             limit = threshold * capacity
             if capacity and amount > limit + 1e-9:
-                amounts = f"{round(amount, 3)} > {round(limit, 3)}"
-                return f"infeasible: {what}{kind.name.lower()} {amounts}"
+                shown = f"{round(amount, 3)} > {round(limit, 3)}"
+                return f"infeasible: {what}{kind.name.lower()} {shown}"
     return None

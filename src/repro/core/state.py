@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -105,16 +106,43 @@ class StateFeaturizer:
         shadow: ShadowCluster,
         now: float,
     ) -> np.ndarray:
-        """Stacked features for every candidate server (rows)."""
+        """Stacked features for every candidate server (rows).
+
+        Row for row the floats :meth:`candidate_features` computes, built
+        as plain floats in one pass and converted to an array once.
+        """
         task_part = self.task_features(task, now)
         volumes = self.comm_index.volumes_by_server(task, shadow)
-        rows = [
-            self.candidate_features(
-                task, server, shadow, now, volumes.get(server.server_id, 0.0), task_part
+        peers = 0
+        peers_on: dict[Optional[int], int] = {}
+        for peer in task.job.tasks:
+            if peer.task_id != task.task_id:
+                peers += 1
+                location = shadow.task_location(peer)
+                peers_on[location] = peers_on.get(location, 0) + 1
+        rows = []
+        for server in servers:
+            sid = server.server_id
+            ug, uc, um, ub = shadow.utilization_tuple(server)
+            rows.append(
+                task_part
+                + [
+                    ug,
+                    uc,
+                    um,
+                    ub,
+                    math.sqrt(ug * ug + uc * uc + um * um + ub * ub) / 2.0,
+                    shadow.least_gpu_utilization(server),
+                    math.tanh(volumes.get(sid, 0.0) / 500.0),
+                    peers_on.get(sid, 0) / peers if peers else 0.0,
+                ]
             )
-            for server in servers
-        ]
-        return np.vstack(rows)
+        matrix = np.array(rows, dtype=np.float64)
+        if matrix.shape[1] != FEATURE_SIZE:
+            raise AssertionError(
+                f"feature size drifted: {matrix.shape[1]} != {FEATURE_SIZE}"
+            )
+        return matrix
 
     def _colocated_fraction(
         self, task: Task, server_id: int, shadow: ShadowCluster

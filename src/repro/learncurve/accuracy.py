@@ -63,7 +63,10 @@ class AccuracyPredictor:
         noisy = true
         if accuracy is None and self.noise_std > 0:
             noisy = max(0.0, min(1.0, true * (1.0 + self._rng.gauss(0.0, self.noise_std))))
-        xs, ys = self._history.setdefault(job.job_id, ([], []))
+        history = self._history.get(job.job_id)
+        if history is None:
+            history = self._history[job.job_id] = ([], [])
+        xs, ys = history
         xs.append(float(iteration))
         ys.append(noisy)
         self._since_fit[job.job_id] = self._since_fit.get(job.job_id, 0) + 1

@@ -61,7 +61,7 @@ from repro.service.telemetry import (
 )
 from repro.sim.engine import EngineConfig, PassResult, SimulationEngine
 from repro.sim.interface import Scheduler
-from repro.workload.dag import MIN_WORKER_GPU
+from repro.workload.dag import MIN_WORKER_GPU, job_template
 from repro.workload.generator import WorkloadConfig, build_job, min_workers
 from repro.workload.job import Job
 from repro.workload.trace import TraceRecord
@@ -250,7 +250,9 @@ class SchedulerService:
         if reason is None:
             job = self._build_job(job_id, spec)
             reason = infeasible_reason(
-                job.tasks, self.engine.capacity, self.engine.config.overload_threshold
+                job_template(job).demand_bounds,
+                self.engine.capacity,
+                self.engine.config.overload_threshold,
             )
         if reason is not None:
             self._registry[job_id] = {"spec": spec, "job": None, "state": "rejected"}

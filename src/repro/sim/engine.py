@@ -58,7 +58,12 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.check.sanitize import Sanitizer, sanitize_from_env
-from repro.cluster.cluster import Cluster, capacity_bounds, infeasible_reason
+from repro.cluster.cluster import (
+    Cluster,
+    capacity_bounds,
+    demand_bounds,
+    infeasible_reason,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.learncurve.accuracy import AccuracyPredictor
@@ -566,7 +571,9 @@ class SimulationEngine:
     def _handle_arrival(self, job: Job) -> None:
         self._pending_arrivals -= 1
         reason = infeasible_reason(
-            job.tasks, self.capacity, self.config.overload_threshold
+            demand_bounds(task.demand for task in job.tasks),
+            self.capacity,
+            self.config.overload_threshold,
         )
         if reason is not None:
             self.reject_job(job.job_id, reason)  # nothing changed: stay parked

@@ -120,6 +120,26 @@ class ShadowCluster:
             key=lambda gid: (self.gpu_utilization(server, gid), gid),
         )
 
+    def least_gpu_utilization(self, server: Server) -> float:
+        """Utilization of the :meth:`least_loaded_gpu` device, in one scan.
+
+        The same value as ``gpu_utilization(server,
+        least_loaded_gpu(server))``: the smallest utilization over the
+        healthy devices, or over all of them when every one failed.
+        """
+        pool = server.healthy_gpus() or server.gpus
+        if not pool:
+            raise RuntimeError(f"server {server.server_id} has no GPUs")
+        gpu_delta = self._gpu_delta
+        sid = server.server_id
+        best = math.inf
+        for g in pool:
+            g_load = g.load + gpu_delta.get((sid, g.gpu_id), 0.0)
+            util = g_load / g.capacity if g.capacity else 0.0
+            if util < best:
+                best = util
+        return best
+
     def is_overloaded(self, server: Server, threshold: float) -> bool:
         """Shadow-aware server overload predicate (failed ⇒ overloaded)."""
         return server.failed or self.utilization(server).exceeds_any(threshold)

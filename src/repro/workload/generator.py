@@ -12,17 +12,21 @@ Follows the paper's experimental setting (Section 4.1):
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from repro.workload.dag import (
     DEFAULT_COMM_VOLUME_RANGE,
-    build_task_graph,
     critical_path_seconds,
+    job_template,
 )
 from repro.workload.job import CommStructure, Job, StopOption
 from repro.workload.models import PartitionStyle, get_model
 from repro.workload.trace import TraceRecord
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -99,31 +103,55 @@ def min_workers(model_name: str, gpus_requested: int) -> int:
     return replicas * (partitions if layered else 1)
 
 
+#: Used when a caller passes no config.
+_DEFAULT_CONFIG = WorkloadConfig()
+
+
+def _choose(weights: dict[T, float], rng: random.Random) -> T:
+    """``rng.choices(list(weights), weights=list(weights.values()))[0]``.
+
+    Written out as CPython defines it: one ``random()`` scaled by the
+    total and bisected into the running sums.
+    """
+    cum_weights = list(accumulate(weights.values()))
+    total = cum_weights[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    index = bisect(cum_weights, rng.random() * total, 0, len(cum_weights) - 1)
+    return list(weights)[index]
+
+
 def build_job(
     record: TraceRecord,
     rng: random.Random,
     config: Optional[WorkloadConfig] = None,
 ) -> Job:
-    """Construct one job (tasks, DAG, deadline, requirements) from a record."""
-    cfg = config or WorkloadConfig()
+    """Construct one job (tasks, DAG, deadline, requirements) from a record.
+
+    The shape's :class:`~repro.workload.dag.JobTemplate` supplies the
+    tasks' demands, the graph and the compute critical path; per job it
+    draws, in order: the communication structure, the stop option, the
+    accuracy ceiling and half-life, ``allow_downgrade``, the link
+    volumes and demand jitters (:meth:`JobTemplate.populate`) and
+    ``t_r``.  Each ``uniform(a, b)`` is ``a + (b - a) * random()``, as
+    CPython defines it.
+    """
+    cfg = config or _DEFAULT_CONFIG
     record.validate()
     model = get_model(record.model_name)
     replicas, partitions = split_parallelism(record.model_name, record.gpus_requested)
 
-    structures = list(cfg.comm_structure_weights)
-    weights = [cfg.comm_structure_weights[s] for s in structures]
-    comm_structure = rng.choices(structures, weights=weights, k=1)[0]
+    comm_structure = _choose(cfg.comm_structure_weights, rng)
     if replicas == 1 and comm_structure is not CommStructure.PARAMETER_SERVER:
         # All-reduce needs multiple reducers; single-replica jobs use PS.
         comm_structure = CommStructure.PARAMETER_SERVER
+    stop_option = _choose(cfg.stop_option_weights, rng)
 
-    options = list(cfg.stop_option_weights)
-    option_weights = [cfg.stop_option_weights[o] for o in options]
-    stop_option = rng.choices(options, weights=option_weights, k=1)[0]
-
+    draw = rng.random
     lo_jitter, hi_jitter = cfg.accuracy_ceiling_jitter
-    ceiling = min(0.995, model.accuracy_ceiling * rng.uniform(lo_jitter, hi_jitter))
-    half_life = model.curve_half_life * rng.uniform(0.8, 1.25)
+    jitter = lo_jitter + (hi_jitter - lo_jitter) * draw()
+    ceiling = min(0.995, model.accuracy_ceiling * jitter)
+    half_life = model.curve_half_life * (0.8 + (1.25 - 0.8) * draw())
 
     job = Job(
         job_id=record.job_id,
@@ -137,12 +165,13 @@ def build_job(
         deadline=0.0,  # set below once t_e is known
         accuracy_requirement=0.0,  # set below once the curve is known
         stop_option=stop_option,
-        allow_downgrade=rng.random() < cfg.allow_downgrade_probability,
+        allow_downgrade=draw() < cfg.allow_downgrade_probability,
         training_data_mb=record.training_data_mb,
         accuracy_ceiling=ceiling,
         curve_half_life=half_life,
     )
-    build_task_graph(job, rng, cfg.comm_volume_range)
+    template = job_template(job)
+    template.populate(job, rng, cfg.comm_volume_range)
 
     # Accuracy requirement: the trace stores a quantile of the accuracy
     # achievable at max_iterations, keeping requirements demanding but
@@ -150,9 +179,10 @@ def build_job(
     achievable = job.accuracy_at(record.max_iterations)
     job.accuracy_requirement = round(achievable * record.accuracy_requirement, 6)
 
-    job.estimated_duration = estimate_execution_time(job, cfg)
-    lo_h, hi_h = cfg.deadline_uniform_range_hours
-    t_r = rng.uniform(lo_h * 3600.0, hi_h * 3600.0)
+    job.estimated_duration = _execution_time(job, template.critical_path_s, cfg)
+    lo_t = cfg.deadline_uniform_range_hours[0] * 3600.0
+    hi_t = cfg.deadline_uniform_range_hours[1] * 3600.0
+    t_r = lo_t + (hi_t - lo_t) * draw()
     job.deadline = record.arrival_time + max(
         cfg.deadline_slack_factor * job.estimated_duration, t_r
     )
@@ -168,8 +198,11 @@ def estimate_execution_time(job: Job, config: Optional[WorkloadConfig] = None) -
     deadlines and the runtime predictor, mirroring the paper's assumption
     that total running time is predictable (Section 3.1, via [42]).
     """
-    cfg = config or WorkloadConfig()
-    compute = critical_path_seconds(job)
+    return _execution_time(job, critical_path_seconds(job), config or _DEFAULT_CONFIG)
+
+
+def _execution_time(job: Job, compute: float, cfg: WorkloadConfig) -> float:
+    """:func:`estimate_execution_time` given the compute critical path."""
     volume = sum(v for *_pair, v in job.dag.edges)
     volume += sum(v for *_pair, v in job.sync_links)
     volume *= job.model.comm_rounds_per_iteration

@@ -18,8 +18,9 @@ magnitudes reported for V100-class devices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class PartitionStyle(Enum):
@@ -95,9 +96,9 @@ class ModelProfile:
     accuracy_ceiling: float = 0.92
     curve_half_life: float = 8.0
 
-    @property
+    @cached_property
     def total_params_m(self) -> float:
-        """Total parameters in millions (``S_J`` in Eq. 2)."""
+        """Total parameters in millions (``S_J`` in Eq. 2), summed once."""
         return sum(layer.params_m for layer in self.layers)
 
     @property

@@ -117,6 +117,23 @@ class TestShadowCluster:
         shadow._add(0, 0, ResourceVector(gpu=0.5, cpu=0, mem=0, bw=0))
         assert shadow.least_loaded_gpu(server) != 0
 
+    def test_least_gpu_utilization_is_the_least_loaded_gpus(self, small_cluster):
+        shadow = ShadowCluster(small_cluster)
+        server = small_cluster.server(0)
+        for gpu_id, load in enumerate((0.4, 0.2, 0.7, 0.2)):
+            shadow._add(0, gpu_id, ResourceVector(gpu=load))
+
+        def oracle():
+            return shadow.gpu_utilization(server, shadow.least_loaded_gpu(server))
+
+        assert shadow.least_gpu_utilization(server) == oracle() == 0.2
+        server.gpus[1].failed = True
+        server.gpus[3].failed = True
+        assert shadow.least_gpu_utilization(server) == oracle() == 0.4
+        for gpu in server.gpus:
+            gpu.failed = True  # every device lost: the least of them all
+        assert shadow.least_gpu_utilization(server) == oracle() == 0.2
+
     def test_is_overloaded_shadow_aware(self, small_cluster):
         shadow = ShadowCluster(small_cluster)
         for gpu_id in range(4):

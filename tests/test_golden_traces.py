@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -38,7 +39,7 @@ from repro.core import (
     make_mlf_rl,
     make_mlfs,
 )
-from repro.core.state import FEATURE_SIZE
+from repro.core.state import FEATURE_SIZE, StateFeaturizer
 from repro.faults import FaultEvent, FaultPlan
 from repro.learncurve import CurveEnsemble
 from repro.rl.policy import ScoringPolicy
@@ -288,6 +289,35 @@ def test_mlfs_scenario_exercises_every_phase(monkeypatch):
     assert fits, "MLF-C never fitted a learning curve"
     assert sum(json.loads(line)["stops"] for line in lines) > 0
     assert engine.scheduler.phase is Phase.RL
+
+
+@pytest.mark.parametrize("name", ["mlfs", "contended_mlfs"])
+def test_candidate_matrix_equals_per_row_features(monkeypatch, name):
+    """Every feature matrix an MLFS run builds equals, byte for byte, the
+    rows :meth:`StateFeaturizer.candidate_features` computes one by one."""
+    original = StateFeaturizer.candidate_matrix
+    matrices = []
+
+    def checked(self, task, servers, shadow, now):
+        matrix = original(self, task, servers, shadow, now)
+        task_part = self.task_features(task, now)
+        volumes = self.comm_index.volumes_by_server(task, shadow)
+        rows = np.vstack(
+            [
+                self.candidate_features(
+                    task, server, shadow, now, volumes.get(server.server_id, 0.0), task_part
+                )
+                for server in servers
+            ]
+        )
+        assert matrix.dtype == rows.dtype and matrix.shape == rows.shape
+        assert matrix.tobytes() == rows.tobytes()
+        matrices.append(matrix)
+        return matrix
+
+    monkeypatch.setattr(StateFeaturizer, "candidate_matrix", checked)
+    run_scenario(name)
+    assert len(matrices) > 10
 
 
 def test_contended_scenarios_pin_distinct_schedules():

@@ -11,7 +11,6 @@ dependency: without it this module skips.
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,8 @@ from repro.workload import (
     GPU_CHOICES,
     MODEL_NAMES,
     CommStructure,
-    JobGraph,
     WorkloadConfig,
     build_job,
-    build_jobs,
     critical_path_seconds,
 )
 from repro.workload.synthetic import (
@@ -33,25 +30,25 @@ from repro.workload.synthetic import (
     PhillyLikeTraceGenerator,
     philly_scale_config,
 )
+from tests import job_oracle
 from tests.conftest import make_record
 
 nx = pytest.importorskip("networkx")
 
 
-def built_graphs(build):
-    """Run ``build()``; pair each job it returns with the nodes and the
-    ``(src, dst, volume_mb)`` edges its graph was built from."""
-    inputs = {}
-    original = JobGraph.build.__func__
-
-    def recording(cls, nodes, edges):
-        graph = original(cls, nodes, edges)
-        inputs[id(graph)] = (list(nodes), list(edges))
-        return graph
-
-    with mock.patch.object(JobGraph, "build", classmethod(recording)):
-        jobs = build()
-    return [(job, *inputs[id(job.dag)]) for job in jobs]
+def built_graphs(records, seed, config=None):
+    """Build a job per record with :func:`build_job`; pair each with the
+    nodes and ``(src, dst, volume_mb)`` edges the direct oracle builder
+    inserted for the same record and draws."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    built = []
+    for record in records:
+        job = build_job(record, rng, config)
+        _oracle_job, nodes, edges = job_oracle.build_job_and_inputs(
+            record, oracle_rng, config
+        )
+        built.append((job, nodes, edges))
+    return built
 
 
 def as_digraph(nodes, edges):
@@ -112,9 +109,7 @@ def assert_matches_networkx(job, nodes, edges):
 def test_build_job_matches_networkx(model, gpus, structure, seed):
     config = WorkloadConfig(comm_structure_weights={structure: 1.0})
     record = make_record(job_id=f"j{seed}", model=model, gpus=gpus)
-    [(job, nodes, edges)] = built_graphs(
-        lambda: [build_job(record, random.Random(seed), config)]
-    )
+    [(job, nodes, edges)] = built_graphs([record], seed, config)
     assert_matches_networkx(job, nodes, edges)
 
 
@@ -125,7 +120,7 @@ def test_philly_jobs_match_networkx():
         duration_seconds=PHILLY_DURATION_SECONDS * jobs / PHILLY_NUM_JOBS,
     )
     records = PhillyLikeTraceGenerator(config=config, seed=29).generate()
-    built = built_graphs(lambda: build_jobs(records, seed=30))
+    built = built_graphs(records, seed=30)
     assert len(built) == jobs
     assert {job.comm_structure for job, *_ in built} == set(CommStructure)
     for job, nodes, edges in built:

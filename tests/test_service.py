@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.cluster import infeasible_reason
+from repro.cluster.cluster import demand_bounds, infeasible_reason
 from repro.core import make_mlf_h
 from repro.service import (
     AdmissionController,
@@ -316,7 +316,11 @@ class TestServiceCore:
             if core._oversize_reason(spec) is not None:
                 bounded += 1
                 job = core._build_job(spec.job_id, spec)
-                reason = infeasible_reason(job.tasks, core.engine.capacity, threshold)
+                reason = infeasible_reason(
+                    demand_bounds(t.demand for t in job.tasks),
+                    core.engine.capacity,
+                    threshold,
+                )
                 assert reason is not None and reason.startswith("infeasible: gpu ")
         # Sequentially partitioned models may merge down to one partition.
         assert bounded > 0 or model in ("alexnet", "mlp")
